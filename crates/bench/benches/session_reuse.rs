@@ -1,5 +1,5 @@
 //! Ablation of the stateful-session redesign: one objective evaluation
-//! through a fresh session per call (the old `evaluate_fobj` behaviour —
+//! through a fresh session per call (a one-shot evaluation —
 //! workspaces allocated and symbolic analysis recomputed every time) versus a
 //! reused `InlaSession` whose pooled solver keeps its workspaces warm.
 //!

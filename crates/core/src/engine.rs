@@ -379,33 +379,6 @@ impl InlaEngine {
     pub fn builder(model: &Arc<CoregionalModel>) -> InlaSessionBuilder {
         InlaSessionBuilder { model: model.clone(), prior: None, settings: InlaSettings::dalia(1) }
     }
-
-    /// Create a session with a weakly-informative prior centred at `theta0`.
-    ///
-    /// # Panics
-    ///
-    /// Unlike the pre-0.2 engine, which silently clamped nonsense
-    /// configurations, this shim panics when `settings` fails
-    /// [`InlaSettings::validate`] (e.g. `partitions == 0`); use the builder's
-    /// fallible `build()` to handle invalid settings gracefully.
-    // `InlaEngine` is a namespace struct; its legacy constructor intentionally
-    // returns the session type that replaced it.
-    #[allow(clippy::new_ret_no_self)]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `InlaEngine::builder(model).prior(..).settings(..).build()`"
-    )]
-    pub fn new(
-        model: &Arc<CoregionalModel>,
-        theta0: &[f64],
-        settings: InlaSettings,
-    ) -> InlaSession {
-        InlaEngine::builder(model)
-            .prior(ThetaPrior::weakly_informative(theta0, 3.0))
-            .settings(settings)
-            .build()
-            .expect("invalid InlaSettings passed to the deprecated InlaEngine::new")
-    }
 }
 
 /// A fitted system advancing through time: the streaming session mode opened
@@ -758,14 +731,6 @@ mod tests {
             after.solver_seconds()
                 >= before.solver_seconds() + result.timers.solver_seconds() - 1e-9
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_engine_new_still_works() {
-        let (model, theta0) = toy_model();
-        let engine = InlaEngine::new(&model, &theta0, InlaSettings::dalia(1));
-        assert!(engine.objective(&theta0).unwrap().is_finite());
     }
 
     fn fresh_obs(t: usize) -> Vec<Observation> {

@@ -6,9 +6,9 @@
 //! strategies and the R-INLA / INLA_DIST baseline configurations.
 //!
 //! * [`settings`] — solver backends and framework presets (Table I),
-//! * [`solver`] — the [`solver::LatentSolver`] backend trait with three
-//!   stateful implementations (sequential BTA, distributed BTA, general
-//!   sparse Cholesky) whose workspaces are amortized across evaluations,
+//! * [`solver`] — the [`solver::LatentSolver`] backend trait with two
+//!   stateful implementations (BTA at any partition count, general sparse
+//!   Cholesky) whose workspaces are amortized across evaluations,
 //! * [`objective`] — the objective `f_obj(θ)` of Eq. 8 and the inner Newton
 //!   loop [`objective::conditional_mode`] locating the latent conditional
 //!   mode under non-Gaussian likelihoods,
@@ -36,8 +36,6 @@ pub use objective::{
     conditional_mode, evaluate_fobj_with, evaluate_fobj_with_inner, FobjResult, InnerModeResult,
     InnerSettings,
 };
-#[allow(deprecated)]
-pub use objective::evaluate_fobj;
 pub use optimizer::{evaluate_gradient, maximize_fobj, negative_hessian, OptimizationResult};
 pub use posterior::{
     fixed_effect_summaries, latent_marginals, normal_quantile, predict, response_correlations,
@@ -45,9 +43,7 @@ pub use posterior::{
 };
 pub use settings::{feature_table, InlaSettings, SolverBackend};
 pub use snapshot::{PosteriorSnapshot, SnapshotFactor, VarianceMode};
-pub use solver::{
-    DistributedBtaSolver, LatentSolver, PhaseTimers, SequentialBtaSolver, SparseCholeskySolver,
-};
+pub use solver::{LatentSolver, PhaseTimers, SparseCholeskySolver};
 
 /// Errors produced by the INLA engine.
 #[derive(Clone, Debug)]

@@ -24,7 +24,7 @@
 use crate::settings::InlaSettings;
 use crate::solver::{LatentSolver, PhaseTimers};
 use crate::CoreError;
-use dalia_model::{CoregionalModel, ModelHyper, ThetaPrior};
+use dalia_model::{ModelHyper, ThetaPrior};
 use std::time::Instant;
 
 /// Configuration of the inner Newton loop, extracted from
@@ -339,31 +339,13 @@ pub fn evaluate_fobj_with(
     evaluate_fobj_with_inner(solver, prior, theta, InnerSettings::default())
 }
 
-/// Evaluate `f_obj` at the hyperparameter vector `theta` with a one-shot
-/// solver.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `InlaSession` via `InlaEngine::builder(..)` and call `session.evaluate(theta)`; \
-            a session reuses solver workspaces across evaluations instead of rebuilding them per call"
-)]
-pub fn evaluate_fobj(
-    model: &std::sync::Arc<CoregionalModel>,
-    prior: &ThetaPrior,
-    theta: &[f64],
-    settings: &InlaSettings,
-) -> Result<FobjResult, CoreError> {
-    settings.validate()?;
-    let mut solver = settings.backend.build(model);
-    evaluate_fobj_with(solver.as_mut(), prior, theta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::InlaEngine;
     use crate::settings::InlaSettings;
     use dalia_mesh::{Domain, Point, TriangleMesh};
-    use dalia_model::Observation;
+    use dalia_model::{CoregionalModel, Observation};
 
     fn toy_model(nv: usize) -> (std::sync::Arc<CoregionalModel>, ThetaPrior, Vec<f64>) {
         let mesh = TriangleMesh::structured(Domain::unit_square(), 3, 3);
@@ -452,14 +434,5 @@ mod tests {
         theta2[0] += 0.5;
         let r1 = evaluate(&model, &prior, &theta2, InlaSettings::dalia(1));
         assert!((r0.value - r1.value).abs() > 1e-8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_session_evaluation() {
-        let (model, prior, theta) = toy_model(1);
-        let via_shim = evaluate_fobj(&model, &prior, &theta, &InlaSettings::dalia(1)).unwrap();
-        let via_session = evaluate(&model, &prior, &theta, InlaSettings::dalia(1));
-        assert_eq!(via_shim.value.to_bits(), via_session.value.to_bits());
     }
 }

@@ -40,9 +40,8 @@ use dalia_model::{CoregionalModel, ModelHyper};
 use dalia_sparse::{ops, CholeskySymbolic, CsrMatrix, SparseCholesky, SparseError};
 use serinv::{
     d_pobtaf, d_pobtas, d_pobtasi, pobtaf, pobtaf_extend_scheduled, pobtaf_retire_scheduled,
-    pobtaf_with, pobtas, pobtas_with, pobtasi_with, BtaCholesky, BtaMatrix, DistBtaCholesky,
-    InteriorSchedule,
-    Partitioning, StreamPacks,
+    pobtaf_with, pobtas_with, pobtasi_with, BtaCholesky, BtaMatrix, DistBtaCholesky,
+    InteriorSchedule, Partitioning, StreamPacks,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -267,14 +266,11 @@ impl SolverBackend {
     /// ```
     pub fn build(&self, model: &Arc<CoregionalModel>) -> Box<dyn LatentSolver> {
         match *self {
-            SolverBackend::Bta { partitions, load_balance } => {
-                let p = partitions.clamp(1, model.dims.nt);
-                if p > 1 {
-                    Box::new(DistributedBtaSolver::new(model.clone(), p, load_balance))
-                } else {
-                    Box::new(SequentialBtaSolver::new(model.clone()))
-                }
-            }
+            SolverBackend::Bta { partitions, load_balance } => Box::new(BtaSolver::new(
+                model.clone(),
+                partitions.clamp(1, model.dims.nt),
+                load_balance,
+            )),
             SolverBackend::SparseGeneral => Box::new(SparseCholeskySolver::new(model.clone())),
         }
     }
@@ -377,211 +373,57 @@ fn resize_window(m: &mut BtaMatrix, nt: usize) {
 }
 
 /// Validate a freshly produced BTA factor's diagonal eagerly (via the
-/// structured [`logdet`](BtaCholesky::logdet) check) so that indefinite or
+/// structured [`logdet`](DistBtaCholesky::logdet) check) so that indefinite or
 /// NaN-contaminated factorizations surface as a typed error at factorize time
 /// rather than as a poisoned log-determinant later.
-fn validated(f: BtaCholesky) -> Result<BtaCholesky, CoreError> {
+fn validated(f: DistBtaCholesky) -> Result<DistBtaCholesky, CoreError> {
     f.logdet().map_err(CoreError::Solver)?;
     Ok(f)
 }
 
-/// [`validated`] for the distributed factor representation.
-fn validated_dist(f: DistBtaCholesky) -> Result<DistBtaCholesky, CoreError> {
-    f.logdet().map_err(CoreError::Solver)?;
-    Ok(f)
+/// Factorize `m` over `part`. One partition is the trivial case of the
+/// nested-dissection solver: `pobtaf_with` recycles the block storage of the
+/// retired factor `prev` and threads the session `pack`, so a warm solver
+/// allocates nothing per factorization. More partitions run `d_pobtaf`.
+fn factor_bta(
+    m: &BtaMatrix,
+    part: &Partitioning,
+    prev: Option<DistBtaCholesky>,
+    pack: &mut PackBuffer,
+) -> Result<DistBtaCholesky, CoreError> {
+    let f = if part.num_partitions() == 1 {
+        let storage = match prev {
+            Some(DistBtaCholesky::Sequential(f)) => Some(f.blocks),
+            _ => None,
+        };
+        DistBtaCholesky::Sequential(pobtaf_with(m, storage, pack).map_err(CoreError::Solver)?)
+    } else {
+        d_pobtaf(m, part).map_err(CoreError::Solver)?
+    };
+    validated(f)
 }
 
-/// Sequential BTA solver (`pobtaf`/`pobtas`/`pobtasi`): the single-device
-/// DALIA / INLA_DIST path. Factor storage is recycled between factorizations,
-/// and [`extend_window`](LatentSolver::extend_window) /
-/// [`retire_window`](LatentSolver::retire_window) advance the conditional
-/// factor in place through the incremental streaming kernels.
-pub struct SequentialBtaSolver {
-    ws: BtaWorkspace,
-    stream: StreamPacks,
-    fp: Option<BtaCholesky>,
-    fc: Option<BtaCholesky>,
-}
-
-impl SequentialBtaSolver {
-    /// Create a solver with freshly allocated workspaces for `model`.
-    pub fn new(model: Arc<CoregionalModel>) -> Self {
-        Self { ws: BtaWorkspace::new(model), stream: StreamPacks::new(), fp: None, fc: None }
-    }
-}
-
-impl LatentSolver for SequentialBtaSolver {
-    fn backend_name(&self) -> &'static str {
-        "bta-sequential"
-    }
-
-    fn model(&self) -> &CoregionalModel {
-        &self.ws.model
-    }
-
-    fn factorize(&mut self, hyper: &ModelHyper) -> Result<(), CoreError> {
-        self.ws.assemble(hyper);
-        let t0 = Instant::now();
-        // Recycle the previous factors' block storage for the new factors and
-        // reuse the kernel pack buffers: zero allocations once warm.
-        let fp_store = self.fp.take().map(|f| f.blocks);
-        self.fp = Some(validated(
-            pobtaf_with(&self.ws.qp, fp_store, &mut self.ws.pack).map_err(CoreError::Solver)?,
-        )?);
-        let fc_store = self.fc.take().map(|f| f.blocks);
-        self.fc = Some(validated(
-            pobtaf_with(&self.ws.qc, fc_store, &mut self.ws.pack).map_err(CoreError::Solver)?,
-        )?);
-        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        Ok(())
-    }
-
-    fn factorize_conditional(&mut self, hyper: &ModelHyper) -> Result<(), CoreError> {
-        self.ws.assemble(hyper);
-        let t0 = Instant::now();
-        self.fp = None;
-        let fc_store = self.fc.take().map(|f| f.blocks);
-        self.fc = Some(validated(
-            pobtaf_with(&self.ws.qc, fc_store, &mut self.ws.pack).map_err(CoreError::Solver)?,
-        )?);
-        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        Ok(())
-    }
-
-    fn refactorize_conditional(&mut self, weights: &[f64]) -> Result<(), CoreError> {
-        self.ws.reweight_qc(weights);
-        let t0 = Instant::now();
-        let fc_store = self.fc.take().map(|f| f.blocks);
-        self.fc = Some(validated(
-            pobtaf_with(&self.ws.qc, fc_store, &mut self.ws.pack).map_err(CoreError::Solver)?,
-        )?);
-        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        Ok(())
-    }
-
-    fn extend_window(
-        &mut self,
-        model: Arc<CoregionalModel>,
-        hyper: &ModelHyper,
-    ) -> Result<(), CoreError> {
-        assert!(
-            model.dims.nt > self.ws.model.dims.nt,
-            "extend_window: the new window must have more time steps"
-        );
-        let mut fc =
-            self.fc.take().expect("LatentSolver: factorize must be called before extend_window");
-        self.fp = None;
-        self.ws.set_window_model(model);
-        self.ws.assemble(hyper);
-        let t0 = Instant::now();
-        pobtaf_extend_scheduled(&mut fc, &self.ws.qc, &mut self.stream, InteriorSchedule::Stealable)
-            .map_err(CoreError::Solver)?;
-        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        self.fc = Some(validated(fc)?);
-        Ok(())
-    }
-
-    fn retire_window(
-        &mut self,
-        model: Arc<CoregionalModel>,
-        hyper: &ModelHyper,
-    ) -> Result<(), CoreError> {
-        assert!(
-            model.dims.nt < self.ws.model.dims.nt,
-            "retire_window: the new window must have fewer time steps"
-        );
-        let mut fc =
-            self.fc.take().expect("LatentSolver: factorize must be called before retire_window");
-        self.fp = None;
-        self.ws.set_window_model(model);
-        self.ws.assemble(hyper);
-        let t0 = Instant::now();
-        pobtaf_retire_scheduled(&mut fc, &self.ws.qc, &mut self.stream, InteriorSchedule::Stealable)
-            .map_err(CoreError::Solver)?;
-        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        self.fc = Some(validated(fc)?);
-        Ok(())
-    }
-
-    fn design(&self) -> &CsrMatrix {
-        self.ws.design()
-    }
-
-    fn logdet_qp(&self) -> f64 {
-        self.fp
-            .as_ref()
-            .expect("LatentSolver: factorize must be called first")
-            .logdet()
-            .expect("factor diagonal validated at factorization")
-    }
-
-    fn logdet_qc(&self) -> f64 {
-        self.fc
-            .as_ref()
-            .expect("LatentSolver: factorize must be called first")
-            .logdet()
-            .expect("factor diagonal validated at factorization")
-    }
-
-    fn solve_mean(&mut self, rhs: &[f64]) -> Vec<f64> {
-        let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
-        let t0 = Instant::now();
-        let mut m = dalia_la::Matrix::col_vector(rhs);
-        // The session pack serves the factor panels cached at factorization
-        // time, so repeated mean solves re-pack nothing.
-        pobtas_with(fc, &mut m, &mut self.ws.pack);
-        let out = m.col(0).to_vec();
-        self.ws.timers.solve_seconds += t0.elapsed().as_secs_f64();
-        out
-    }
-
-    fn solve_many(&self, rhs: &mut Matrix) {
-        let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
-        pobtas(fc, rhs);
-    }
-
-    fn snapshot_factor(&self) -> Result<SnapshotFactor, CoreError> {
-        let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
-        Ok(SnapshotFactor::Bta(fc.clone()))
-    }
-
-    fn quadratic_form_qp(&self, x: &[f64]) -> f64 {
-        quadratic_form_bta(&self.ws.qp, x)
-    }
-
-    fn selected_inverse_diag(&mut self) -> Vec<f64> {
-        let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
-        let t0 = Instant::now();
-        let diag = pobtasi_with(fc, &mut self.ws.pack).diagonal();
-        self.ws.timers.selinv_seconds += t0.elapsed().as_secs_f64();
-        diag
-    }
-
-    fn timers(&self) -> PhaseTimers {
-        self.ws.timers
-    }
-
-    fn reset_timers(&mut self) {
-        self.ws.timers.reset();
-    }
-}
-
-/// Distributed (time-domain partitioned) BTA solver
-/// (`d_pobtaf`/`d_pobtas`/`d_pobtasi`): the multi-device DALIA path. The
-/// load-balanced [`Partitioning`] is derived once at construction and reused
-/// for every factorization; window updates rebuild it for the new number of
-/// time steps.
+/// The BTA solver (`pobtaf`/`pobtas`/`pobtasi` and their partitioned
+/// `d_pobtaf`/`d_pobtas`/`d_pobtasi` forms): one nested-dissection solver
+/// whose single-partition case is the sequential DALIA / INLA_DIST path. The
+/// load-balanced time-domain [`Partitioning`] is derived once at construction
+/// and reused for every factorization; window updates rebuild it for the new
+/// number of time steps.
 ///
-/// Streaming window updates switch the conditional factor to the *monolithic*
-/// (`DistBtaCholesky::Sequential`) representation: the nested-dissection
+/// [`extend_window`](LatentSolver::extend_window) /
+/// [`retire_window`](LatentSolver::retire_window) advance the conditional
+/// factor in place through the incremental streaming kernels, which need the
+/// *monolithic* (`DistBtaCholesky::Sequential`) representation: the
 /// partitioned factor interleaves permuted interiors with a reduced system,
 /// so trailing-block reuse does not apply to it. The first window update
 /// after a partitioned factorization pays one cold sequential factorization;
-/// subsequent extends are incremental. The next full
+/// subsequent updates are incremental. The next full
 /// `factorize`/`factorize_conditional` returns to the partitioned scheme.
-pub struct DistributedBtaSolver {
+struct BtaSolver {
     ws: BtaWorkspace,
     part: Partitioning,
+    /// Partition count the solver was built with (capped at `nt`); the
+    /// partitioning of each window is capped again at that window's `nt`.
     partitions: usize,
     load_balance: f64,
     stream: StreamPacks,
@@ -589,10 +431,10 @@ pub struct DistributedBtaSolver {
     fc: Option<DistBtaCholesky>,
 }
 
-impl DistributedBtaSolver {
+impl BtaSolver {
     /// Create a solver with `partitions` time-domain partitions and the given
     /// load-balancing factor. `partitions` must lie in `[1, nt]`.
-    pub fn new(model: Arc<CoregionalModel>, partitions: usize, load_balance: f64) -> Self {
+    fn new(model: Arc<CoregionalModel>, partitions: usize, load_balance: f64) -> Self {
         let part = Partitioning::load_balanced(model.dims.nt, partitions, load_balance);
         Self {
             ws: BtaWorkspace::new(model),
@@ -603,11 +445,6 @@ impl DistributedBtaSolver {
             fp: None,
             fc: None,
         }
-    }
-
-    /// The cached time-domain partitioning.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.part
     }
 
     /// Shared tail of `extend_window` / `retire_window`: swap in the new
@@ -636,7 +473,8 @@ impl DistributedBtaSolver {
         self.ws.assemble(hyper);
         let t0 = Instant::now();
         let mono = match fc {
-            // Already monolithic (a previous window update): advance in place.
+            // Already monolithic (one partition, or a previous window
+            // update): advance in place.
             DistBtaCholesky::Sequential(mut f) => {
                 advance(&mut f, &self.ws.qc, &mut self.stream).map_err(CoreError::Solver)?;
                 f
@@ -649,15 +487,18 @@ impl DistributedBtaSolver {
             }
         };
         self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        let mono = validated(mono)?;
-        self.fc = Some(DistBtaCholesky::Sequential(mono));
+        self.fc = Some(validated(DistBtaCholesky::Sequential(mono))?);
         Ok(())
     }
 }
 
-impl LatentSolver for DistributedBtaSolver {
+impl LatentSolver for BtaSolver {
     fn backend_name(&self) -> &'static str {
-        "bta-distributed"
+        if self.partitions > 1 {
+            "bta-distributed"
+        } else {
+            "bta-sequential"
+        }
     }
 
     fn model(&self) -> &CoregionalModel {
@@ -667,10 +508,8 @@ impl LatentSolver for DistributedBtaSolver {
     fn factorize(&mut self, hyper: &ModelHyper) -> Result<(), CoreError> {
         self.ws.assemble(hyper);
         let t0 = Instant::now();
-        self.fp =
-            Some(validated_dist(d_pobtaf(&self.ws.qp, &self.part).map_err(CoreError::Solver)?)?);
-        self.fc =
-            Some(validated_dist(d_pobtaf(&self.ws.qc, &self.part).map_err(CoreError::Solver)?)?);
+        self.fp = Some(factor_bta(&self.ws.qp, &self.part, self.fp.take(), &mut self.ws.pack)?);
+        self.fc = Some(factor_bta(&self.ws.qc, &self.part, self.fc.take(), &mut self.ws.pack)?);
         self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
@@ -679,8 +518,7 @@ impl LatentSolver for DistributedBtaSolver {
         self.ws.assemble(hyper);
         let t0 = Instant::now();
         self.fp = None;
-        self.fc =
-            Some(validated_dist(d_pobtaf(&self.ws.qc, &self.part).map_err(CoreError::Solver)?)?);
+        self.fc = Some(factor_bta(&self.ws.qc, &self.part, self.fc.take(), &mut self.ws.pack)?);
         self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
@@ -688,8 +526,7 @@ impl LatentSolver for DistributedBtaSolver {
     fn refactorize_conditional(&mut self, weights: &[f64]) -> Result<(), CoreError> {
         self.ws.reweight_qc(weights);
         let t0 = Instant::now();
-        self.fc =
-            Some(validated_dist(d_pobtaf(&self.ws.qc, &self.part).map_err(CoreError::Solver)?)?);
+        self.fc = Some(factor_bta(&self.ws.qc, &self.part, self.fc.take(), &mut self.ws.pack)?);
         self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
@@ -745,32 +582,36 @@ impl LatentSolver for DistributedBtaSolver {
     fn solve_mean(&mut self, rhs: &[f64]) -> Vec<f64> {
         let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
         let t0 = Instant::now();
-        let mut m = dalia_la::Matrix::col_vector(rhs);
-        d_pobtas(fc, &mut m);
+        let mut m = Matrix::col_vector(rhs);
+        match fc {
+            // The session pack serves the factor panels cached at
+            // factorization time, so repeated mean solves re-pack nothing.
+            DistBtaCholesky::Sequential(f) => pobtas_with(f, &mut m, &mut self.ws.pack),
+            DistBtaCholesky::Partitioned { .. } => d_pobtas(fc, &mut m),
+        }
         let out = m.col(0).to_vec();
         self.ws.timers.solve_seconds += t0.elapsed().as_secs_f64();
         out
     }
 
     fn solve_many(&self, rhs: &mut Matrix) {
-        let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
-        d_pobtas(fc, rhs);
+        d_pobtas(self.fc.as_ref().expect("LatentSolver: factorize must be called first"), rhs);
     }
 
     fn snapshot_factor(&self) -> Result<SnapshotFactor, CoreError> {
-        // The distributed factor's nested-dissection representation is tied to
-        // the partitioning (permuted interiors + reduced system), so it cannot
-        // be handed out as-is. Re-factor the assembled `Q_c` sequentially into
-        // the portable monolithic form — a one-time cost paid at snapshot
-        // extraction, not per query.
-        assert!(self.fc.is_some(), "LatentSolver: factorize must be called first");
-        // A window update already holds the monolithic factor — clone it
-        // instead of re-factorizing.
-        if let Some(DistBtaCholesky::Sequential(f)) = self.fc.as_ref() {
-            return Ok(SnapshotFactor::Bta(f.clone()));
+        match self.fc.as_ref().expect("LatentSolver: factorize must be called first") {
+            DistBtaCholesky::Sequential(f) => Ok(SnapshotFactor::Bta(f.clone())),
+            // The partitioned representation is tied to the partitioning
+            // (permuted interiors + reduced system), so it cannot be handed
+            // out as-is. Re-factor the assembled `Q_c` sequentially into the
+            // portable monolithic form — a one-time cost paid at snapshot
+            // extraction, not per query.
+            DistBtaCholesky::Partitioned { .. } => {
+                let fc = pobtaf(&self.ws.qc).map_err(CoreError::Solver)?;
+                fc.logdet().map_err(CoreError::Solver)?;
+                Ok(SnapshotFactor::Bta(fc))
+            }
         }
-        let fc = validated(pobtaf(&self.ws.qc).map_err(CoreError::Solver)?)?;
-        Ok(SnapshotFactor::Bta(fc))
     }
 
     fn quadratic_form_qp(&self, x: &[f64]) -> f64 {
@@ -780,7 +621,11 @@ impl LatentSolver for DistributedBtaSolver {
     fn selected_inverse_diag(&mut self) -> Vec<f64> {
         let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
         let t0 = Instant::now();
-        let diag = d_pobtasi(fc).diagonal();
+        let diag = match fc {
+            DistBtaCholesky::Sequential(f) => pobtasi_with(f, &mut self.ws.pack),
+            DistBtaCholesky::Partitioned { .. } => d_pobtasi(fc),
+        }
+        .diagonal();
         self.ws.timers.selinv_seconds += t0.elapsed().as_secs_f64();
         diag
     }
@@ -1290,7 +1135,11 @@ mod tests {
 
         let mut streamed = backend.build(&old);
         streamed.factorize(&hyper).unwrap();
+        assert_eq!(streamed.backend_name(), "bta-distributed");
         streamed.extend_window(new.clone(), &hyper).unwrap();
+        // The window factor is monolithic now; the label follows the
+        // configured partition count, not the factor representation.
+        assert_eq!(streamed.backend_name(), "bta-distributed");
         // A subsequent full factorization rebuilds the partitioned scheme for
         // the new window and matches a cold distributed solver bitwise.
         streamed.factorize(&hyper).unwrap();

@@ -5,8 +5,6 @@
 //!
 //! * [`pool`] — the work-stealing fork-join thread pool (re-export of the
 //!   `dalia-pool` crate) that executes the S1/S3 fan-outs,
-//! * [`comm`] — in-process SPMD communicator (threads + channels) with
-//!   barrier / broadcast / all-reduce / gather and traffic accounting,
 //! * [`alloc`] — allocation of devices across the three nested
 //!   parallelization strategies S1/S2/S3 following the paper's policy,
 //! * [`perfmodel`] — analytic GH200/Alps and Xeon/Fritz performance model used
@@ -16,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod comm;
 pub mod perfmodel;
 
 /// Work-stealing fork-join thread pool (re-export of the `dalia-pool` crate).
@@ -35,7 +32,6 @@ pub mod pool {
 }
 
 pub use alloc::{allocate, AllocationInput, StrategyAllocation};
-pub use comm::{run_spmd, Communicator, TrafficStats};
 pub use perfmodel::{
     bta_factor_flops, bta_selinv_flops, bta_solve_flops, d_bta_factor_time, d_bta_selinv_time,
     d_bta_solve_time, dalia_iteration_time, gh200, inladist_iteration_time, parallel_efficiency,

@@ -288,6 +288,88 @@ pub(crate) fn run2(split: bool, f: impl FnOnce() + Send, g: impl FnOnce() + Send
     }
 }
 
+/// Eliminate block columns `start .. n` of `m` in place (plus the arrow
+/// tip), assuming columns `0 .. start` already hold factor values and the
+/// working blocks of column `start` carry all Schur updates from them.
+///
+/// With `split == false` this issues exactly the kernel sequence of the
+/// sequential `factor_in_place` loop; with `split == true` it forks the
+/// disjoint-output subtasks of each column as pool join groups (the schedule
+/// [`pobtaf_parallel`] documents) — the kernel calls and operands are
+/// identical either way, so the factors match bitwise. [`pobtaf_parallel`]
+/// runs it over every column, the streaming kernels over the trailing ones.
+pub(crate) fn factor_columns(
+    m: &mut BtaMatrix,
+    start: usize,
+    packs: &mut InteriorPacks,
+    split: bool,
+) -> Result<(), SerinvError> {
+    let n = m.n;
+    let has_arrow = m.a > 0;
+    for i in start..n {
+        // D_i = L_ii L_iiᵀ — the critical path of the column.
+        chol::potrf_with(&mut packs.diag, &mut m.diag[i])
+            .map_err(|e| SerinvError::Factorization { block: i, source: e })?;
+
+        // B_i := B_i L_ii⁻ᵀ ∥ C_i := C_i L_ii⁻ᵀ (disjoint outputs).
+        {
+            let InteriorPacks { diag: pk_diag, arrow: pk_arrow, .. } = packs;
+            let l_ii = &m.diag[i];
+            let sub_rhs = if i + 1 < n { Some(&mut m.sub[i]) } else { None };
+            let arrow_rhs = if has_arrow { Some(&mut m.arrow[i]) } else { None };
+            run2(
+                split,
+                move || {
+                    if let Some(bi) = sub_rhs {
+                        blas::trsm_with(pk_diag, Side::Right, Triangle::Lower, Trans::Yes, l_ii, bi);
+                    }
+                },
+                move || {
+                    if let Some(ci) = arrow_rhs {
+                        blas::trsm_with(pk_arrow, Side::Right, Triangle::Lower, Trans::Yes, l_ii, ci);
+                    }
+                },
+            );
+        }
+
+        // Trailing updates: D_{i+1}, C_{i+1} and the tip are disjoint.
+        {
+            let InteriorPacks { diag: pk_diag, left: pk_left, schur: pk_schur, .. } = packs;
+            let (_, diag_tail) = m.diag.split_at_mut(i + 1);
+            let arrow_mid = (i + 1).min(m.arrow.len());
+            let (arrow_head, arrow_tail) = m.arrow.split_at_mut(arrow_mid);
+            let b_i = if i + 1 < n { Some(&m.sub[i]) } else { None };
+            let c_i = if has_arrow { Some(&arrow_head[i]) } else { None };
+            let next_diag = if i + 1 < n { Some(&mut diag_tail[0]) } else { None };
+            let next_arrow = if has_arrow && i + 1 < n { Some(&mut arrow_tail[0]) } else { None };
+            let tip = if has_arrow { Some(&mut m.tip) } else { None };
+            run3(
+                split,
+                move || {
+                    if let (Some(nd), Some(bi)) = (next_diag, b_i) {
+                        blas::syrk_full_with(pk_diag, Trans::No, -1.0, bi, 1.0, nd);
+                    }
+                },
+                move || {
+                    if let (Some(na), Some(ci), Some(bi)) = (next_arrow, c_i, b_i) {
+                        blas::gemm_with(pk_left, Trans::No, Trans::Yes, -1.0, ci, bi, 1.0, na);
+                    }
+                },
+                move || {
+                    if let (Some(t), Some(ci)) = (tip, c_i) {
+                        blas::syrk_full_with(pk_schur, Trans::No, -1.0, ci, 1.0, t);
+                    }
+                },
+            );
+        }
+    }
+    if has_arrow {
+        chol::potrf_with(&mut packs.diag, &mut m.tip)
+            .map_err(|e| SerinvError::Factorization { block: n, source: e })?;
+    }
+    Ok(())
+}
+
 /// Interior elimination of one partition. Returns the partition factor and its
 /// Schur contribution to the reduced system.
 ///
@@ -654,81 +736,11 @@ fn assemble_reduced(
 /// [`PackBuffer`] lane. The kernel calls and their operands are identical to
 /// the sequential loop, so the factor is **bitwise identical** to
 /// [`pobtaf`]'s. Tiny systems (`b` below the fork cutoff), single-block
-/// matrices and 1-thread pools fall back to the sequential kernel outright.
+/// matrices and 1-thread pools run the same column loop unforked.
 pub fn pobtaf_parallel(a: &BtaMatrix) -> Result<BtaCholesky, SerinvError> {
-    let split =
-        a.b >= STEAL_MIN_BLOCK && a.n > 1 && dalia_pool::current_num_threads() > 1;
-    if !split {
-        return pobtaf(a);
-    }
-
+    let split = a.b >= STEAL_MIN_BLOCK && a.n > 1 && dalia_pool::current_num_threads() > 1;
     let mut m = a.clone();
-    let n = m.n;
-    let has_arrow = m.a > 0;
-    let mut packs = InteriorPacks::new();
-    for i in 0..n {
-        // D_i = L_ii L_iiᵀ — the critical path of the column.
-        chol::potrf_with(&mut packs.diag, &mut m.diag[i])
-            .map_err(|e| SerinvError::Factorization { block: i, source: e })?;
-
-        // B_i := B_i L_ii⁻ᵀ ∥ C_i := C_i L_ii⁻ᵀ (disjoint outputs, shared
-        // read of L_ii).
-        {
-            let InteriorPacks { diag: pk_diag, arrow: pk_arrow, .. } = &mut packs;
-            let l_ii = &m.diag[i];
-            let sub_rhs = if i + 1 < n { Some(&mut m.sub[i]) } else { None };
-            let arrow_rhs = if has_arrow { Some(&mut m.arrow[i]) } else { None };
-            run2(
-                split,
-                move || {
-                    if let Some(bi) = sub_rhs {
-                        blas::trsm_with(pk_diag, Side::Right, Triangle::Lower, Trans::Yes, l_ii, bi);
-                    }
-                },
-                move || {
-                    if let Some(ci) = arrow_rhs {
-                        blas::trsm_with(pk_arrow, Side::Right, Triangle::Lower, Trans::Yes, l_ii, ci);
-                    }
-                },
-            );
-        }
-
-        // Trailing updates: D_{i+1}, C_{i+1} and the tip are disjoint.
-        {
-            let InteriorPacks { diag: pk_diag, left: pk_left, schur: pk_schur, .. } = &mut packs;
-            let (_, diag_tail) = m.diag.split_at_mut(i + 1);
-            let arrow_mid = (i + 1).min(m.arrow.len());
-            let (arrow_head, arrow_tail) = m.arrow.split_at_mut(arrow_mid);
-            let b_i = if i + 1 < n { Some(&m.sub[i]) } else { None };
-            let c_i = if has_arrow { Some(&arrow_head[i]) } else { None };
-            let next_diag = if i + 1 < n { Some(&mut diag_tail[0]) } else { None };
-            let next_arrow =
-                if has_arrow && i + 1 < n { Some(&mut arrow_tail[0]) } else { None };
-            let tip = if has_arrow { Some(&mut m.tip) } else { None };
-            run3(
-                split,
-                move || {
-                    if let (Some(nd), Some(bi)) = (next_diag, b_i) {
-                        blas::syrk_full_with(pk_diag, Trans::No, -1.0, bi, 1.0, nd);
-                    }
-                },
-                move || {
-                    if let (Some(na), Some(ci), Some(bi)) = (next_arrow, c_i, b_i) {
-                        blas::gemm_with(pk_left, Trans::No, Trans::Yes, -1.0, ci, bi, 1.0, na);
-                    }
-                },
-                move || {
-                    if let (Some(t), Some(ci)) = (tip, c_i) {
-                        blas::syrk_full_with(pk_schur, Trans::No, -1.0, ci, 1.0, t);
-                    }
-                },
-            );
-        }
-    }
-    if has_arrow {
-        chol::potrf_with(&mut packs.diag, &mut m.tip)
-            .map_err(|e| SerinvError::Factorization { block: n, source: e })?;
-    }
+    factor_columns(&mut m, 0, &mut InteriorPacks::new(), split)?;
     Ok(BtaCholesky { blocks: m })
 }
 

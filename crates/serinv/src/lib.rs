@@ -30,9 +30,7 @@ pub use distributed::{
 };
 pub use partition::Partitioning;
 pub use sequential::{
-    pobtaf, pobtaf_reusing, pobtaf_with, pobtas, pobtas_lt, pobtas_lt_with, pobtas_vec,
-    pobtas_with, pobtasi, pobtasi_with,
-    BtaSelectedInverse,
+    pobtaf, pobtaf_with, pobtas, pobtas_lt, pobtas_with, pobtasi, pobtasi_with, BtaSelectedInverse,
 };
 pub use streaming::{
     pobtaf_extend, pobtaf_extend_scheduled, pobtaf_retire, pobtaf_retire_scheduled, StreamPacks,

@@ -34,27 +34,16 @@ use dalia_la::{chol, Matrix};
 ///
 /// Consumes a copy of the matrix and returns its block Cholesky factor.
 pub fn pobtaf(a: &BtaMatrix) -> Result<BtaCholesky, SerinvError> {
-    pobtaf_reusing(a, None)
+    pobtaf_with(a, None, &mut PackBuffer::new())
 }
 
 /// [`pobtaf`] with workspace reuse: if `storage` holds a BTA matrix of the
 /// same `(n, b, a)` structure (typically the blocks of a retired factor), its
-/// allocations are recycled for the new factor instead of cloning `a`.
-///
-/// Stateful solver sessions use this to keep one factor allocation alive
-/// across the dozens-to-hundreds of factorizations an INLA run performs.
-pub fn pobtaf_reusing(
-    a: &BtaMatrix,
-    storage: Option<BtaMatrix>,
-) -> Result<BtaCholesky, SerinvError> {
-    let mut pack = PackBuffer::new();
-    pobtaf_with(a, storage, &mut pack)
-}
-
-/// [`pobtaf_reusing`] with an explicit kernel packing workspace: `pack` is
-/// threaded through every `potrf` / `trsm` / `syrk` / `gemm` the block loop
-/// issues, so a caller that owns both the factor `storage` and the
-/// `PackBuffer` allocates nothing per factorization.
+/// allocations are recycled for the new factor instead of cloning `a`, and
+/// `pack` is threaded through every `potrf` / `trsm` / `syrk` / `gemm` the
+/// block loop issues — so a caller that owns both the factor `storage` and
+/// the `PackBuffer` (the stateful solver sessions) allocates nothing per
+/// factorization.
 pub fn pobtaf_with(
     a: &BtaMatrix,
     storage: Option<BtaMatrix>,
@@ -194,34 +183,9 @@ pub fn pobtas_with(factor: &BtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffer
     if a > 0 {
         let mut yt = rhs.block(a0, 0, a, k);
         blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::No, &m.tip, &mut yt);
-        // Backward: x_T = L_TTᵀ \ y_T.
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.tip, &mut yt);
         rhs.set_block(a0, 0, &yt);
     }
-
-    // Backward substitution: Lᵀ x = y.
-    for i in (0..n).rev() {
-        let mut yi = rhs.block(i * b, 0, b, k);
-        if i + 1 < n {
-            // y_i -= B_iᵀ x_{i+1}.
-            let x_next = rhs.block((i + 1) * b, 0, b, k);
-            blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &m.sub[i], &x_next, 1.0, &mut yi);
-        }
-        if a > 0 {
-            // y_i -= C_iᵀ x_T.
-            let x_t = rhs.block(a0, 0, a, k);
-            blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &m.arrow[i], &x_t, 1.0, &mut yi);
-        }
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.diag[i], &mut yi);
-        rhs.set_block(i * b, 0, &yi);
-    }
-}
-
-/// Convenience wrapper: solve for a single right-hand-side vector.
-pub fn pobtas_vec(factor: &BtaCholesky, rhs: &[f64]) -> Vec<f64> {
-    let mut m = Matrix::col_vector(rhs);
-    pobtas(factor, &mut m);
-    m.col(0).to_vec()
+    backward_sweep(m, rhs, pack);
 }
 
 /// Backward-only BTA triangular solve: `Lᵀ X = B` for the factor from
@@ -233,20 +197,18 @@ pub fn pobtas_vec(factor: &BtaCholesky, rhs: &[f64]) -> Vec<f64> {
 /// `Lᵀ⁻¹ L⁻¹ = (L Lᵀ)⁻¹ = Q⁻¹`, so `μ + Lᵀ⁻¹ z` is an exact draw from
 /// `N(μ, Q⁻¹)` at the cost of one backward sweep per right-hand-side column.
 pub fn pobtas_lt(factor: &BtaCholesky, rhs: &mut Matrix) {
-    let mut pack = PackBuffer::new();
-    pobtas_lt_with(factor, rhs, &mut pack);
+    assert_eq!(rhs.nrows(), factor.blocks.dim(), "pobtas_lt: rhs dimension mismatch");
+    backward_sweep(&factor.blocks, rhs, &mut PackBuffer::new());
 }
 
-/// [`pobtas_lt`] with an explicit kernel packing workspace (factor blocks
-/// registered read-only with the panel cache, like [`pobtas_with`]).
-pub fn pobtas_lt_with(factor: &BtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffer) {
-    let m = &factor.blocks;
+/// Backward substitution `Lᵀ X = Y`, overwriting `rhs`, for the factor
+/// blocks `m`: the second half of [`pobtas_with`] and the whole of
+/// [`pobtas_lt`]. The caller checks the dimension and registers the blocks
+/// with `pack`.
+fn backward_sweep(m: &BtaMatrix, rhs: &mut Matrix, pack: &mut PackBuffer) {
     let (n, b, a) = (m.n, m.b, m.a);
-    assert_eq!(rhs.nrows(), m.dim(), "pobtas_lt: rhs dimension mismatch");
     let k = rhs.ncols();
     let a0 = n * b;
-    register_bta_blocks(pack, m, false);
-
     if a > 0 {
         let mut xt = rhs.block(a0, 0, a, k);
         blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.tip, &mut xt);
@@ -411,20 +373,21 @@ mod tests {
     }
 
     #[test]
-    fn pobtaf_reusing_recycles_storage_bitwise() {
+    fn pobtaf_with_recycles_storage_bitwise() {
         let a = test_matrix(5, 3, 2, 11);
         let fresh = pobtaf(&a).unwrap();
+        let mut pack = PackBuffer::new();
         // Matching storage: recycled, result bitwise identical.
-        let reused = pobtaf_reusing(&a, Some(BtaMatrix::zeros(5, 3, 2))).unwrap();
+        let reused = pobtaf_with(&a, Some(BtaMatrix::zeros(5, 3, 2)), &mut pack).unwrap();
         for i in 0..5 {
             assert_eq!(fresh.blocks.diag[i].as_slice(), reused.blocks.diag[i].as_slice());
         }
         assert_eq!(fresh.blocks.tip.as_slice(), reused.blocks.tip.as_slice());
         // A retired factor's blocks work as storage for the next call.
-        let recycled = pobtaf_reusing(&a, Some(reused.blocks)).unwrap();
+        let recycled = pobtaf_with(&a, Some(reused.blocks), &mut pack).unwrap();
         assert_eq!(fresh.logdet().unwrap().to_bits(), recycled.logdet().unwrap().to_bits());
         // Mismatched storage falls back to a fresh clone.
-        let fallback = pobtaf_reusing(&a, Some(BtaMatrix::zeros(2, 2, 1))).unwrap();
+        let fallback = pobtaf_with(&a, Some(BtaMatrix::zeros(2, 2, 1)), &mut pack).unwrap();
         assert_eq!(fresh.logdet().unwrap().to_bits(), fallback.logdet().unwrap().to_bits());
     }
 
@@ -448,13 +411,14 @@ mod tests {
     }
 
     #[test]
-    fn pobtas_vec_matches_dense_solve() {
+    fn pobtas_vector_matches_dense_solve() {
         let a = test_matrix(4, 2, 1, 6);
         let f = pobtaf(&a).unwrap();
         let b: Vec<f64> = (0..a.dim()).map(|i| (i as f64 * 0.3).cos()).collect();
-        let x = pobtas_vec(&f, &b);
+        let mut x = Matrix::col_vector(&b);
+        pobtas(&f, &mut x);
         let x_dense = chol::spd_solve_vec(&a.to_dense(), &b).unwrap();
-        for (a, b) in x.iter().zip(&x_dense) {
+        for (a, b) in x.col(0).iter().zip(&x_dense) {
             assert!((a - b).abs() < 1e-9);
         }
     }
@@ -484,13 +448,14 @@ mod tests {
         let m = test_matrix(5, 3, 2, 12);
         let f = pobtaf(&m).unwrap();
         let b: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.17).sin()).collect();
-        let full = pobtas_vec(&f, &b);
+        let mut full = Matrix::col_vector(&b);
+        pobtas(&f, &mut full);
         // Forward half via a dense solve on the assembled factor.
         let l = f.to_dense_factor();
         let mut x = Matrix::col_vector(&b);
         blas::trsm(Side::Left, Triangle::Lower, Trans::No, &l, &mut x);
         pobtas_lt(&f, &mut x);
-        for (p, q) in full.iter().zip(x.col(0)) {
+        for (p, q) in full.col(0).iter().zip(x.col(0)) {
             assert!((p - q).abs() < 1e-9);
         }
     }
@@ -500,9 +465,10 @@ mod tests {
         let a = test_matrix(4, 3, 0, 7);
         let f = pobtaf(&a).unwrap();
         let b: Vec<f64> = (0..a.dim()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let x = pobtas_vec(&f, &b);
+        let mut x = Matrix::col_vector(&b);
+        pobtas(&f, &mut x);
         let x_dense = chol::spd_solve_vec(&a.to_dense(), &b).unwrap();
-        for (a, b) in x.iter().zip(&x_dense) {
+        for (a, b) in x.col(0).iter().zip(&x_dense) {
             assert!((a - b).abs() < 1e-9);
         }
     }

@@ -48,10 +48,9 @@
 //! appending incrementally.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
-use crate::distributed::{run2, run3, InteriorPacks, InteriorSchedule, STEAL_MIN_BLOCK};
+use crate::distributed::{factor_columns, InteriorPacks, InteriorSchedule, STEAL_MIN_BLOCK};
 use crate::SerinvError;
 use dalia_la::blas::{self, Side, Trans, Triangle};
-use dalia_la::chol;
 
 /// Reusable pack-buffer lanes for the streaming kernels: one per concurrent
 /// subtask of the forked column schedule, so a warm streaming session
@@ -261,87 +260,6 @@ pub fn pobtaf_retire_scheduled(
     m.copy_values_from(a_new);
 
     factor_columns(m, 0, &mut packs.packs, split)
-}
-
-/// Eliminate block columns `start .. n` of `m` in place (plus the arrow
-/// tip), assuming columns `0 .. start` already hold factor values and the
-/// working blocks of column `start` carry all Schur updates from them.
-///
-/// With `split == false` this issues exactly the kernel sequence of the
-/// sequential `factor_in_place` loop; with `split == true` it forks the
-/// disjoint-output subtasks of each column as pool join groups exactly as
-/// [`crate::pobtaf_parallel`] does — the kernel calls and operands are
-/// identical either way, so the factors match bitwise.
-fn factor_columns(
-    m: &mut BtaMatrix,
-    start: usize,
-    packs: &mut InteriorPacks,
-    split: bool,
-) -> Result<(), SerinvError> {
-    let n = m.n;
-    let has_arrow = m.a > 0;
-    for i in start..n {
-        // D_i = L_ii L_iiᵀ — the critical path of the column.
-        chol::potrf_with(&mut packs.diag, &mut m.diag[i])
-            .map_err(|e| SerinvError::Factorization { block: i, source: e })?;
-
-        // B_i := B_i L_ii⁻ᵀ ∥ C_i := C_i L_ii⁻ᵀ (disjoint outputs).
-        {
-            let InteriorPacks { diag: pk_diag, arrow: pk_arrow, .. } = packs;
-            let l_ii = &m.diag[i];
-            let sub_rhs = if i + 1 < n { Some(&mut m.sub[i]) } else { None };
-            let arrow_rhs = if has_arrow { Some(&mut m.arrow[i]) } else { None };
-            run2(
-                split,
-                move || {
-                    if let Some(bi) = sub_rhs {
-                        blas::trsm_with(pk_diag, Side::Right, Triangle::Lower, Trans::Yes, l_ii, bi);
-                    }
-                },
-                move || {
-                    if let Some(ci) = arrow_rhs {
-                        blas::trsm_with(pk_arrow, Side::Right, Triangle::Lower, Trans::Yes, l_ii, ci);
-                    }
-                },
-            );
-        }
-
-        // Trailing updates: D_{i+1}, C_{i+1} and the tip are disjoint.
-        {
-            let InteriorPacks { diag: pk_diag, left: pk_left, schur: pk_schur, .. } = packs;
-            let (_, diag_tail) = m.diag.split_at_mut(i + 1);
-            let arrow_mid = (i + 1).min(m.arrow.len());
-            let (arrow_head, arrow_tail) = m.arrow.split_at_mut(arrow_mid);
-            let b_i = if i + 1 < n { Some(&m.sub[i]) } else { None };
-            let c_i = if has_arrow { Some(&arrow_head[i]) } else { None };
-            let next_diag = if i + 1 < n { Some(&mut diag_tail[0]) } else { None };
-            let next_arrow = if has_arrow && i + 1 < n { Some(&mut arrow_tail[0]) } else { None };
-            let tip = if has_arrow { Some(&mut m.tip) } else { None };
-            run3(
-                split,
-                move || {
-                    if let (Some(nd), Some(bi)) = (next_diag, b_i) {
-                        blas::syrk_full_with(pk_diag, Trans::No, -1.0, bi, 1.0, nd);
-                    }
-                },
-                move || {
-                    if let (Some(na), Some(ci), Some(bi)) = (next_arrow, c_i, b_i) {
-                        blas::gemm_with(pk_left, Trans::No, Trans::Yes, -1.0, ci, bi, 1.0, na);
-                    }
-                },
-                move || {
-                    if let (Some(t), Some(ci)) = (tip, c_i) {
-                        blas::syrk_full_with(pk_schur, Trans::No, -1.0, ci, 1.0, t);
-                    }
-                },
-            );
-        }
-    }
-    if has_arrow {
-        chol::potrf_with(&mut packs.diag, &mut m.tip)
-            .map_err(|e| SerinvError::Factorization { block: n, source: e })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use serinv::testing::{test_matrix, test_rhs};
 use serinv::{d_pobtaf, d_pobtas, d_pobtasi, Partitioning};
@@ -37,6 +38,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// `ALLOCS` is process-global, and the harness runs this binary's tests on
+/// concurrent threads: every test body holds this lock so no other test's
+/// allocations land inside a measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding the lock leaves nothing to repair:
+    // the guarded value is `()`.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn allocs_during(f: impl FnOnce()) -> usize {
     let before = ALLOCS.load(Ordering::SeqCst);
     f();
@@ -45,6 +57,7 @@ fn allocs_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn solve_and_selinv_do_not_clone_reduced_blocks_per_partition() {
+    let _serial = serial();
     // 6 partitions → 5 separators; small blocks keep the numbers readable.
     let (n, b, a) = (12, 8, 2);
     let m = test_matrix(n, b, a, 77);
@@ -91,7 +104,7 @@ fn solve_and_selinv_do_not_clone_reduced_blocks_per_partition() {
     );
 }
 
-// Empirical steady-state counts on the layout above (86 / 173) plus ~10%
+// Empirical steady-state counts on the layout above (87 / 173) plus ~10%
 // headroom — tighter than the former per-partition clone overhead.
 const SOLVE_ALLOC_BUDGET: usize = 95;
 const SELINV_ALLOC_BUDGET: usize = 190;
@@ -100,6 +113,7 @@ const SELINV_ALLOC_BUDGET: usize = 190;
 fn warm_solve_and_selinv_take_the_zero_repack_fast_path() {
     use dalia_la::PackBuffer;
     use serinv::{pobtaf_with, pobtas_with, pobtasi_with};
+    let _serial = serial();
 
     // b = 64 puts the inner gemm/syrk calls exactly at the packed-path
     // threshold (64·8·64 and 64³ ≥ the naive-kernel cutoff), so the solve and

@@ -62,8 +62,6 @@ pub mod prelude {
         InnerSettings, LatentSolver, PhaseTimers, PosteriorSnapshot, SolverBackend,
         StreamingWindow, VarianceMode,
     };
-    #[allow(deprecated)]
-    pub use dalia_core::evaluate_fobj;
     pub use dalia_data::{
         generate_count_dataset, generate_exceedance_dataset, generate_pollution_dataset,
         generate_univariate_dataset, observation_grid, DatasetConfig, StreamingSource,

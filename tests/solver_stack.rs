@@ -19,7 +19,9 @@ fn model_precision_through_all_three_solver_paths() {
 
     // Sequential BTA.
     let f_seq = pobtaf(&qc_bta).unwrap();
-    let x_seq = dalia::serinv::pobtas_vec(&f_seq, &rhs);
+    let mut x_seq = Matrix::col_vector(&rhs);
+    pobtas(&f_seq, &mut x_seq);
+    let x_seq = x_seq.col(0);
     // Distributed BTA.
     let part = Partitioning::load_balanced(4, 2, 1.0);
     let f_dist = d_pobtaf(&qc_bta, &part).unwrap();

@@ -406,6 +406,20 @@ mod tests {
     }
 
     #[test]
+    fn fresh_solver_evaluation_matches_session_evaluation() {
+        // A one-shot solver from the backend factory and a session's pooled
+        // solver run the same evaluation, to the last bit.
+        for settings in [InlaSettings::dalia(1), InlaSettings::dalia(3)] {
+            let (model, prior, theta) = toy_model(2);
+            let mut solver = settings.backend.build(&model);
+            let fresh = evaluate_fobj_with(solver.as_mut(), &prior, &theta).unwrap();
+            let via_session = evaluate(&model, &prior, &theta, settings);
+            assert_eq!(fresh.value.to_bits(), via_session.value.to_bits());
+            assert_eq!(fresh.logdet_qc.to_bits(), via_session.logdet_qc.to_bits());
+        }
+    }
+
+    #[test]
     fn distributed_solver_gives_same_objective() {
         let (model, prior, theta) = toy_model(2);
         let seq = evaluate(&model, &prior, &theta, InlaSettings::dalia(1));

@@ -1150,6 +1150,137 @@ mod tests {
     }
 
     #[test]
+    fn sequential_backend_keeps_its_label_through_window_updates() {
+        let hyper = ModelHyper::default_for(1, 0.7, 2.0);
+        let (old, new) = stream_models(1, 4, 6);
+        let mut solver = SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&old);
+        solver.factorize(&hyper).unwrap();
+        assert_eq!(solver.backend_name(), "bta-sequential");
+        solver.extend_window(new.clone(), &hyper).unwrap();
+        assert_eq!(solver.backend_name(), "bta-sequential");
+        solver.retire_window(old.clone(), &hyper).unwrap();
+        assert_eq!(solver.backend_name(), "bta-sequential");
+    }
+
+    fn is_partitioned(f: &Option<DistBtaCholesky>) -> bool {
+        matches!(f, Some(DistBtaCholesky::Partitioned { .. }))
+    }
+
+    #[test]
+    fn window_update_holds_a_monolithic_factor_until_the_next_full_factorization() {
+        let hyper = ModelHyper::default_for(1, 0.7, 2.0);
+        let (old, new) = stream_models(1, 4, 6);
+        let mut solver = BtaSolver::new(old, 3, 1.3);
+        solver.factorize(&hyper).unwrap();
+        assert!(is_partitioned(&solver.fp) && is_partitioned(&solver.fc));
+        solver.extend_window(new, &hyper).unwrap();
+        assert!(solver.fp.is_none());
+        assert!(matches!(solver.fc, Some(DistBtaCholesky::Sequential(_))));
+        assert_eq!(solver.part.num_blocks(), 6, "partitioning follows the new window");
+        solver.factorize_conditional(&hyper).unwrap();
+        assert!(is_partitioned(&solver.fc));
+    }
+
+    #[test]
+    fn single_partition_recycles_factor_storage_across_factorizations() {
+        let (model, hyper) = toy_model(1);
+        let mut theta2 = hyper.to_theta();
+        theta2[0] += 0.3;
+        let hyper2 = ModelHyper::from_theta(1, &theta2);
+        let mut solver = BtaSolver::new(model, 1, 1.0);
+        let diag_ptr = |f: &Option<DistBtaCholesky>| match f {
+            Some(DistBtaCholesky::Sequential(f)) => f.blocks.diag[0].as_slice().as_ptr(),
+            _ => panic!("one partition must hold a sequential factor"),
+        };
+        solver.factorize(&hyper).unwrap();
+        let (p0, c0) = (diag_ptr(&solver.fp), diag_ptr(&solver.fc));
+        solver.factorize(&hyper2).unwrap();
+        assert_eq!(diag_ptr(&solver.fp), p0, "Q_p factor storage must be recycled");
+        assert_eq!(diag_ptr(&solver.fc), c0, "Q_c factor storage must be recycled");
+        solver.factorize_conditional(&hyper).unwrap();
+        assert_eq!(diag_ptr(&solver.fc), c0, "conditional refactorization must recycle too");
+    }
+
+    #[test]
+    fn factor_bta_rejects_indefinite_matrices_for_every_partition_count() {
+        let mut m = serinv::testing::test_matrix(6, 3, 2, 4);
+        m.diag[2][(0, 0)] = -100.0;
+        for partitions in [1, 2] {
+            let part = Partitioning::load_balanced(6, partitions, 1.0);
+            let err = factor_bta(&m, &part, None, &mut PackBuffer::new());
+            assert!(matches!(err, Err(CoreError::Solver(_))), "P={partitions}");
+        }
+    }
+
+    #[test]
+    fn snapshot_factor_is_monolithic_and_agrees_across_partition_counts() {
+        let (model, hyper) = toy_model(2);
+        let logdets: Vec<u64> = [1, 3]
+            .into_iter()
+            .map(|partitions| {
+                let backend = SolverBackend::Bta { partitions, load_balance: 1.3 };
+                let mut solver = backend.build(&model);
+                solver.factorize(&hyper).unwrap();
+                let SnapshotFactor::Bta(f) = solver.snapshot_factor().unwrap() else {
+                    panic!("a BTA solver must hand out a BTA snapshot");
+                };
+                assert_eq!(f.blocks.n, model.dims.nt);
+                let ld = f.logdet().unwrap();
+                if partitions == 1 {
+                    assert_eq!(ld.to_bits(), solver.logdet_qc().to_bits());
+                }
+                ld.to_bits()
+            })
+            .collect();
+        assert_eq!(logdets[0], logdets[1], "both snapshots factor the same Q_c sequentially");
+    }
+
+    #[test]
+    fn solve_many_matches_solve_mean_for_every_partition_count() {
+        let (model, hyper) = toy_model(2);
+        for partitions in [1, 3] {
+            let mut solver = SolverBackend::Bta { partitions, load_balance: 1.3 }.build(&model);
+            solver.factorize(&hyper).unwrap();
+            let info = model.information_vector(&hyper, solver.design());
+            let mean = solver.solve_mean(&info);
+            let mut many = Matrix::col_vector(&info);
+            solver.solve_many(&mut many);
+            for (a, b) in mean.iter().zip(many.col(0)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "P={partitions}");
+            }
+        }
+    }
+
+    #[test]
+    fn refactorize_conditional_is_reproducible_for_every_partition_count() {
+        let (model, hyper) = toy_model(1);
+        let mut theta2 = hyper.to_theta();
+        theta2[1] += 0.4;
+        let hyper2 = ModelHyper::from_theta(1, &theta2);
+        let weights: Vec<f64> = (0..model.n_obs()).map(|i| 0.5 + 0.1 * (i % 7) as f64).collect();
+        let mut reference: Option<f64> = None;
+        for partitions in [1, 3] {
+            let backend = SolverBackend::Bta { partitions, load_balance: 1.3 };
+            let mut fresh = backend.build(&model);
+            fresh.factorize(&hyper).unwrap();
+            fresh.refactorize_conditional(&weights).unwrap();
+            // A solver that visited another θ first lands on the same factor.
+            let mut reused = backend.build(&model);
+            reused.factorize(&hyper2).unwrap();
+            reused.factorize(&hyper).unwrap();
+            reused.refactorize_conditional(&weights).unwrap();
+            assert_eq!(fresh.logdet_qc().to_bits(), reused.logdet_qc().to_bits(), "P={partitions}");
+            // Q_p is untouched by a reweighting.
+            assert_eq!(fresh.logdet_qp().to_bits(), reused.logdet_qp().to_bits(), "P={partitions}");
+            let ld = fresh.logdet_qc();
+            match reference {
+                None => reference = Some(ld),
+                Some(r) => assert!((ld - r).abs() < 1e-8 * (1.0 + r.abs()), "P={partitions}"),
+            }
+        }
+    }
+
+    #[test]
     fn extend_window_leaves_solver_in_conditional_only_state() {
         let hyper = ModelHyper::default_for(1, 0.7, 2.0);
         let (old, new) = stream_models(1, 3, 4);

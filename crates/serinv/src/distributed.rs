@@ -1480,6 +1480,18 @@ mod tests {
     }
 
     #[test]
+    fn parallel_pobtaf_on_a_single_block_column_matches_sequential() {
+        // One block column has no trailing update to fork, so the column
+        // loop runs unforked even on a multi-worker pool.
+        let pool = dalia_pool::ThreadPool::new(4);
+        for aa in [0, 3] {
+            let m = test_matrix(1, STEAL_MIN_BLOCK + 8, aa, 17);
+            let par = pool.install(|| pobtaf_parallel(&m)).unwrap();
+            assert_chol_bitwise_equal(&par, &pobtaf(&m).unwrap(), &format!("n=1 a={aa}"));
+        }
+    }
+
+    #[test]
     fn tree_reduced_assembly_independent_of_worker_count() {
         // 8 partitions give a 3-level Schur reduction tree; the sequential
         // (1-thread) and forked (4-thread) reductions share the same pairing

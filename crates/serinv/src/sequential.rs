@@ -461,6 +461,47 @@ mod tests {
     }
 
     #[test]
+    fn warm_session_pack_solves_and_inverts_bitwise_like_transient_packs() {
+        // The session path (factor, solve and selected inversion on one pack
+        // with the panel cache on) must agree to the last bit with the plain
+        // entry points, which pack afresh per call.
+        let a = test_matrix(5, 3, 2, 14);
+        let cold = pobtaf(&a).unwrap();
+        let mut cold_x = test_rhs(a.dim(), 2);
+        pobtas(&cold, &mut cold_x);
+        let cold_vars = pobtasi(&cold).diagonal();
+
+        let mut pack = PackBuffer::new();
+        pack.enable_panel_reuse(true);
+        let warm = pobtaf_with(&a, None, &mut pack).unwrap();
+        for round in 0..2 {
+            let mut x = test_rhs(a.dim(), 2);
+            pobtas_with(&warm, &mut x, &mut pack);
+            assert_eq!(x.as_slice(), cold_x.as_slice(), "solve, round {round}");
+            let vars = pobtasi_with(&warm, &mut pack).diagonal();
+            for (p, q) in vars.iter().zip(&cold_vars) {
+                assert_eq!(p.to_bits(), q.to_bits(), "variances, round {round}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pobtas: rhs dimension mismatch")]
+    fn pobtas_rejects_mismatched_rhs() {
+        let a = test_matrix(3, 2, 1, 15);
+        let f = pobtaf(&a).unwrap();
+        pobtas(&f, &mut Matrix::zeros(a.dim() - 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "pobtas_lt: rhs dimension mismatch")]
+    fn pobtas_lt_rejects_mismatched_rhs() {
+        let a = test_matrix(3, 2, 1, 16);
+        let f = pobtaf(&a).unwrap();
+        pobtas_lt(&f, &mut Matrix::zeros(a.dim() + 1, 1));
+    }
+
+    #[test]
     fn pobtas_no_arrow() {
         let a = test_matrix(4, 3, 0, 7);
         let f = pobtaf(&a).unwrap();

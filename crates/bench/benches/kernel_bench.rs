@@ -9,8 +9,7 @@
 //! library loads at startup; CI uploads it as an artifact). The gemm table
 //! then reports 256³/512³ per tier so the dispatch ladder is visible in the
 //! snapshot, and a warm-session `pobtaf` benchmark pins the end-to-end win of
-//! the tuned tier + blocking + cross-factorization packing reuse over the
-//! previous defaults.
+//! the tuned tier + blocking over the previous defaults.
 //!
 //! Running this bench (`cargo bench -p dalia-bench --bench kernel_bench`)
 //! prints a table and rewrites `BENCH_kernels.json` at the repository root so
@@ -194,10 +193,9 @@ fn pobtaf_flops(nt: usize, b: usize) -> u64 {
 }
 
 /// Warm-session `pobtaf` at the SA1 solver shape: the "reference" lane runs
-/// the previous defaults (best pre-AVX-512 tier, default blocking, no panel
-/// reuse); the "blocked" lane runs the tuned configuration with
-/// cross-factorization packing reuse, invalidating the panel cache between
-/// iterations exactly as the solver's assemble path does per θ.
+/// the previous defaults (best pre-AVX-512 tier, default blocking); the
+/// "blocked" lane runs the tuned configuration. Both recycle one pack and the
+/// previous factor's storage per iteration, as the solver session does per θ.
 fn bench_pobtaf_warm(
     records: &mut Vec<Record>,
     tuned: &[(KernelTier, BlockConfig, f64)],
@@ -205,20 +203,17 @@ fn bench_pobtaf_warm(
     let (nt, b, a) = (24usize, 320usize, 3usize);
     let m = test_matrix(nt, b, a, 11);
 
-    let time_session = |reuse: bool| {
+    let time_session = || {
         let mut pack = PackBuffer::new();
-        pack.enable_panel_reuse(reuse);
         let mut store = None;
         time_secs(|| {
-            // New θ: values rewritten, session panels invalid.
-            pack.invalidate_panels();
             let f = pobtaf_with(&m, store.take(), &mut pack).expect("SPD bench matrix");
             store = Some(f.blocks);
         })
     };
 
     // Baseline: what PR 9 shipped — AVX2 (or portable) dispatch, the
-    // pre-autotuner default blocking, pack-per-call.
+    // pre-autotuner default blocking.
     let base_tier = if KernelTier::Avx2.is_supported() {
         KernelTier::Avx2
     } else {
@@ -227,9 +222,9 @@ fn bench_pobtaf_warm(
     blas::set_kernel_tier(base_tier);
     let d = tune::default_config(base_tier);
     dalia_la::set_blocking(d.mc, d.kc, d.nc);
-    let ref_secs = time_session(false);
+    let ref_secs = time_session();
 
-    // Tuned: best supported tier with its swept blocking and panel reuse on.
+    // Tuned: best supported tier with its swept blocking.
     let best = *dalia_la::supported_kernel_tiers().last().unwrap();
     blas::set_kernel_tier(best);
     let cfg = tuned
@@ -238,7 +233,7 @@ fn bench_pobtaf_warm(
         .map(|(_, c, _)| *c)
         .unwrap_or_else(|| tune::default_config(best));
     dalia_la::set_blocking(cfg.mc, cfg.kc, cfg.nc);
-    let blk_secs = time_session(true);
+    let blk_secs = time_session();
 
     records.push(Record {
         kernel: "pobtaf_warm",

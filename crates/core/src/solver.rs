@@ -28,9 +28,9 @@
 //!
 //! The BTA workspaces also own a [`PackBuffer`] — the panel-packing scratch
 //! of the blocked dense kernels in `dalia_la::blas` — which is threaded
-//! through `serinv`'s `pobtaf_with`/`pobtasi_with`, so the factorize /
-//! selected-inversion hot loop of a warmed-up solver performs no heap
-//! allocation at all (see `docs/performance.md`).
+//! through `serinv`'s `pobtaf_with`/`pobtas_with`/`pobtasi_with`, so the
+//! factorization of a warmed-up solver performs no heap allocation (see
+//! `docs/performance.md`).
 
 use crate::settings::SolverBackend;
 use crate::snapshot::SnapshotFactor;
@@ -291,17 +291,10 @@ struct BtaWorkspace {
 impl BtaWorkspace {
     fn new(model: Arc<CoregionalModel>) -> Self {
         let d = model.dims;
-        // The session-owned pack keeps a keyed cache of packed factor panels:
-        // within one θ evaluation the `Q_p`/`Q_c` factorizations, solves and
-        // selected inversions re-read the same factor blocks, and the cache
-        // lets them pack each panel exactly once. Every value-write path
-        // (assemble / reweight) invalidates it below.
-        let mut pack = PackBuffer::new();
-        pack.enable_panel_reuse(true);
         Self {
             qp: BtaMatrix::zeros(d.nt, d.block_size(), d.arrow_size()),
             qc: BtaMatrix::zeros(d.nt, d.block_size(), d.arrow_size()),
-            pack,
+            pack: PackBuffer::new(),
             design: None,
             timers: PhaseTimers::default(),
             model,
@@ -329,9 +322,6 @@ impl BtaWorkspace {
     /// Re-fill `qp` and `qc` in place for `hyper`; records assembly time.
     fn assemble(&mut self, hyper: &ModelHyper) {
         let t0 = Instant::now();
-        // New θ, new values: cached packed panels from the previous
-        // evaluation's factors must not survive the rewrite.
-        self.pack.invalidate_panels();
         self.model.assemble_qp_bta_into(hyper, &mut self.qp);
         self.qc.copy_values_from(&self.qp);
         let design = self.model.extend_qp_to_qc(hyper, &mut self.qc);
@@ -350,9 +340,6 @@ impl BtaWorkspace {
         let t0 = Instant::now();
         let design =
             self.design.as_ref().expect("LatentSolver: factorize must be called first");
-        // The conditional factor's storage is about to be re-filled with new
-        // values (inner Newton re-weighting): drop its cached panels.
-        self.pack.invalidate_panels();
         self.qc.copy_values_from(&self.qp);
         let congruence = ops::congruence_diag(design, weights);
         self.model.add_congruence_to_bta(&congruence, &mut self.qc);
@@ -584,8 +571,6 @@ impl LatentSolver for BtaSolver {
         let t0 = Instant::now();
         let mut m = Matrix::col_vector(rhs);
         match fc {
-            // The session pack serves the factor panels cached at
-            // factorization time, so repeated mean solves re-pack nothing.
             DistBtaCholesky::Sequential(f) => pobtas_with(f, &mut m, &mut self.ws.pack),
             DistBtaCholesky::Partitioned { .. } => d_pobtas(fc, &mut m),
         }

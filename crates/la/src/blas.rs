@@ -13,7 +13,7 @@
 //! `docs/performance.md` at the repository root.
 
 use crate::matrix::Matrix;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Once;
 
 /// Transposition flag for level-3 kernels.
@@ -299,99 +299,6 @@ fn store_blocking(mc: usize, kc: usize, nc: usize) {
     BLOCK_NC.store(nc, Ordering::Relaxed);
 }
 
-/// Byte cap per packed-panel cache side (A panels / B panels); least
-/// recently used entries are evicted past it.
-const PANEL_CACHE_BYTES: usize = 64 << 20;
-
-/// Maximum spare (evicted) panel buffers retained for recycling.
-const PANEL_SPARE_MAX: usize = 32;
-
-/// Identity of one cached packed panel: the absolute byte address of its
-/// first source element plus the layout that produced it. Two fetches with
-/// equal keys in the same epoch read the same bytes of a registered stable
-/// region with the same strides, depth, width, and micro-tile grouping —
-/// hence pack to bitwise identical buffers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct PanelKey {
-    addr: usize,
-    rs: usize,
-    cs: usize,
-    kc: usize,
-    nc: usize,
-    tile: usize,
-    epoch: u64,
-}
-
-#[derive(Debug)]
-struct PanelEntry {
-    key: PanelKey,
-    /// Byte extent `[lo, hi)` of the source elements this panel reads.
-    lo: usize,
-    hi: usize,
-    /// LRU stamp (monotone fetch clock).
-    stamp: u64,
-    /// Fingerprint of the source values at pack time, re-checked on every
-    /// debug-build hit to catch stale-registration bugs.
-    fp: u64,
-    buf: Vec<f64>,
-}
-
-#[derive(Debug, Default)]
-struct PanelStore {
-    entries: Vec<PanelEntry>,
-    bytes: usize,
-    spare: Vec<Vec<f64>>,
-}
-
-impl PanelStore {
-    fn recycle(&mut self, buf: Vec<f64>) {
-        if self.spare.len() < PANEL_SPARE_MAX {
-            self.spare.push(buf);
-        }
-    }
-
-    fn clear(&mut self) {
-        let drained: Vec<PanelEntry> = self.entries.drain(..).collect();
-        for e in drained {
-            self.recycle(e.buf);
-        }
-        self.bytes = 0;
-    }
-
-    fn evict_overlapping(&mut self, lo: usize, hi: usize) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].lo < hi && lo < self.entries[i].hi {
-                let e = self.entries.swap_remove(i);
-                self.bytes -= e.buf.len() * std::mem::size_of::<f64>();
-                self.recycle(e.buf);
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
-/// Shared bookkeeping of the panel cache. The fetch path holds one panel
-/// store mutably while this metadata is only read, so the clock and the
-/// hit/miss counters are atomics bumped through a shared borrow.
-#[derive(Debug, Default)]
-struct CacheMeta {
-    enabled: bool,
-    epoch: u64,
-    /// Byte ranges registered as stable (write-once-then-read per epoch).
-    regions: Vec<(usize, usize)>,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CacheMeta {
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
 /// Reusable packing workspace for the blocked level-3 kernels.
 ///
 /// Holds the contiguous buffers the blocked `gemm` / `syrk` / `trsm` /
@@ -399,16 +306,8 @@ impl CacheMeta {
 /// through the `*_with` entry points allocates nothing after the first
 /// factorization warms the buffers up. The stateful solver sessions in
 /// `dalia-core` own one `PackBuffer` per solver and thread it through
-/// `serinv`'s `pobtaf_with` / `pobtasi_with`.
-///
-/// With [`PackBuffer::enable_panel_reuse`] the workspace additionally keeps a
-/// keyed cache of packed panels: once a caller registers operand storage as
-/// *stable* (written once, then only read, until the next registration or
-/// [`PackBuffer::invalidate_panels`]), every panel packed from that storage
-/// is cached and later fetches of the same panel skip re-packing — e.g. the
-/// `L_ii` panels shared by the sub-diagonal and arrow `trsm`s of a BTA
-/// factorization, or the factor panels shared by repeated `pobtas` /
-/// `pobtasi` sweeps on an unchanged factor. See `docs/performance.md`.
+/// `serinv`'s `pobtaf_with` / `pobtas_with` / `pobtasi_with`. Every kernel
+/// call re-packs the panels it reads.
 #[derive(Debug, Default)]
 pub struct PackBuffer {
     /// Packed `MC × KC` panel of op(A), micro-panels of `MR` rows.
@@ -418,9 +317,6 @@ pub struct PackBuffer {
     /// Dense scratch for triangular-block staging (trsm right-hand-side
     /// panels, potrf diagonal blocks).
     pub(crate) scratch: Vec<f64>,
-    meta: CacheMeta,
-    cache_a: PanelStore,
-    cache_b: PanelStore,
 }
 
 impl PackBuffer {
@@ -429,71 +325,13 @@ impl PackBuffer {
         Self::default()
     }
 
-    /// Turn the keyed packed-panel cache on or off (off by default, so plain
-    /// entry points and transient workspaces carry zero overhead). Turning
-    /// it off also drops all cached panels and registrations.
-    pub fn enable_panel_reuse(&mut self, enabled: bool) {
-        if self.meta.enabled && !enabled {
-            self.invalidate_panels();
-        }
-        self.meta.enabled = enabled;
-    }
+    // No-op kept only because `perfbench/` calls it; goes with the next benchmark change.
+    #[doc(hidden)]
+    pub fn enable_panel_reuse(&mut self, _enabled: bool) {}
 
-    /// Whether the keyed packed-panel cache is on.
-    pub fn panel_reuse_enabled(&self) -> bool {
-        self.meta.enabled
-    }
-
-    /// Drop every cached panel and registered stable region. Callers that
-    /// rewrite operand values in place (the solver workspaces on every
-    /// re-assembly / re-weighting) invalidate before the rewrite.
-    pub fn invalidate_panels(&mut self) {
-        self.meta.epoch += 1;
-        self.meta.regions.clear();
-        self.cache_a.clear();
-        self.cache_b.clear();
-    }
-
-    /// Register `data` as stable: from now until the next registration of an
-    /// overlapping range or [`PackBuffer::invalidate_panels`], each element
-    /// read by a kernel is promised final at the time it is first packed.
-    /// Fresh registration drops cached panels overlapping the range (the
-    /// caller is about to overwrite the values).
-    pub fn register_stable(&mut self, data: &[f64]) {
-        self.register_region(data, true);
-    }
-
-    /// Like [`PackBuffer::register_stable`], but when the exact byte range
-    /// is already registered its cached panels survive — the caller promises
-    /// the values have not changed since the last registration (the
-    /// `pobtaf → pobtas → pobtasi` chain on one factor).
-    pub fn register_stable_readonly(&mut self, data: &[f64]) {
-        self.register_region(data, false);
-    }
-
-    fn register_region(&mut self, data: &[f64], fresh: bool) {
-        if !self.meta.enabled || data.is_empty() {
-            return;
-        }
-        let lo = data.as_ptr() as usize;
-        let hi = lo + std::mem::size_of_val(data);
-        let known = self.meta.regions.contains(&(lo, hi));
-        if known && !fresh {
-            return;
-        }
-        if !known {
-            self.meta.regions.push((lo, hi));
-        }
-        self.cache_a.evict_overlapping(lo, hi);
-        self.cache_b.evict_overlapping(lo, hi);
-    }
-
-    /// `(hits, misses)` of the panel cache. Only cache-eligible fetches
-    /// (source inside a registered stable region) count, so a warm steady
-    /// state shows a zero miss delta.
-    pub fn panel_stats(&self) -> (u64, u64) {
-        (self.meta.hits.load(Ordering::Relaxed), self.meta.misses.load(Ordering::Relaxed))
-    }
+    // No-op kept only because `perfbench/` calls it; goes with the next benchmark change.
+    #[doc(hidden)]
+    pub fn invalidate_panels(&mut self) {}
 }
 
 /// Read-only strided view of `op(X)` for a column-major operand: element
@@ -563,93 +401,6 @@ fn pack_panel(
             }
         }
     }
-}
-
-/// FNV-style fingerprint of a panel's source elements (debug-build guard
-/// against packing-cache hits on mutated storage).
-fn panel_fingerprint(src: StridedRef<'_>, p0: usize, j0: usize, kc: usize, nc: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in 0..kc {
-        for c in 0..nc {
-            h = (h ^ src.at(p0 + p, j0 + c).to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Byte extent of the panel's source elements, if the panel lies entirely
-/// inside a registered stable region (the only panels eligible for caching).
-fn stable_extent(
-    meta: &CacheMeta,
-    src: StridedRef<'_>,
-    p0: usize,
-    j0: usize,
-    kc: usize,
-    nc: usize,
-) -> Option<(usize, usize)> {
-    const SZ: usize = std::mem::size_of::<f64>();
-    let base = src.data.as_ptr() as usize;
-    let lo = base + (src.off + p0 * src.rs + j0 * src.cs) * SZ;
-    let hi = lo + ((kc - 1) * src.rs + (nc - 1) * src.cs) * SZ + SZ;
-    meta.regions.iter().any(|&(rlo, rhi)| rlo <= lo && hi <= rhi).then_some((lo, hi))
-}
-
-/// Produce the packed panel for `(src, p0, j0, kc, nc, tile)`: from the
-/// keyed cache when the source lies in a registered stable region (packing
-/// on the first fetch), else by packing into `fallback`. The cached and the
-/// freshly packed buffer are bitwise identical — [`pack_panel`] is
-/// deterministic in its inputs — so enabling reuse never changes results.
-#[allow(clippy::too_many_arguments)]
-fn fetch_panel<'p>(
-    meta: &CacheMeta,
-    store: &'p mut PanelStore,
-    fallback: &'p mut Vec<f64>,
-    src: StridedRef<'_>,
-    p0: usize,
-    j0: usize,
-    kc: usize,
-    nc: usize,
-    tile: usize,
-) -> &'p [f64] {
-    if meta.enabled && kc > 0 && nc > 0 {
-        if let Some((lo, hi)) = stable_extent(meta, src, p0, j0, kc, nc) {
-            let key =
-                PanelKey { addr: lo, rs: src.rs, cs: src.cs, kc, nc, tile, epoch: meta.epoch };
-            if let Some(idx) = store.entries.iter().position(|e| e.key == key) {
-                meta.hits.fetch_add(1, Ordering::Relaxed);
-                store.entries[idx].stamp = meta.tick();
-                debug_assert_eq!(
-                    store.entries[idx].fp,
-                    panel_fingerprint(src, p0, j0, kc, nc),
-                    "panel cache hit on a mutated stable region (registration bug)"
-                );
-                return &store.entries[idx].buf;
-            }
-            meta.misses.fetch_add(1, Ordering::Relaxed);
-            let mut buf = store.spare.pop().unwrap_or_default();
-            pack_panel(src, p0, j0, kc, nc, tile, &mut buf);
-            let bytes = buf.len() * std::mem::size_of::<f64>();
-            while store.bytes + bytes > PANEL_CACHE_BYTES && !store.entries.is_empty() {
-                let lru = store
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(i, _)| i)
-                    .expect("entries is non-empty");
-                let old = store.entries.swap_remove(lru);
-                store.bytes -= old.buf.len() * std::mem::size_of::<f64>();
-                store.recycle(old.buf);
-            }
-            let fp =
-                if cfg!(debug_assertions) { panel_fingerprint(src, p0, j0, kc, nc) } else { 0 };
-            store.bytes += bytes;
-            store.entries.push(PanelEntry { key, lo, hi, stamp: meta.tick(), fp, buf });
-            return &store.entries.last().expect("just pushed").buf;
-        }
-    }
-    pack_panel(src, p0, j0, kc, nc, tile, fallback);
-    fallback
 }
 
 /// One register-tile instantiation: computes an `MR × NR` block of C into
@@ -871,11 +622,6 @@ fn gemm_packed(
 }
 
 /// The tile-generic blocked gemm engine behind [`gemm_packed`].
-///
-/// Panels come out of [`fetch_panel`], so when the owning [`PackBuffer`] has
-/// panel reuse enabled and the operand lives inside a registered stable
-/// region, repeated calls on unchanged operands skip the packing copy
-/// entirely and consume the cached panel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_packed_impl<T: MicroTile>(
     m: usize,
@@ -896,15 +642,17 @@ fn gemm_packed_impl<T: MicroTile>(
     // A panels are packed column-major along k: the A micro-panel layout is
     // exactly the B layout applied to Aᵀ, so one packing routine serves both.
     let at = a.transposed();
-    let PackBuffer { a_pack, b_pack, meta, cache_a, cache_b, .. } = pack;
+    let PackBuffer { a_pack, b_pack, .. } = pack;
     for jc in (0..n).step_by(nc_blk) {
         let nc = nc_blk.min(n - jc);
         for pc in (0..k).step_by(kc_blk) {
             let kc = kc_blk.min(k - pc);
-            let bpanel_all = fetch_panel(meta, cache_b, b_pack, b, pc, jc, kc, nc, T::NR);
+            pack_panel(b, pc, jc, kc, nc, T::NR, b_pack);
+            let bpanel_all = &b_pack[..];
             for ic in (0..m).step_by(mc_blk) {
                 let mc = mc_blk.min(m - ic);
-                let apanel_all = fetch_panel(meta, cache_a, a_pack, at, pc, ic, kc, mc, T::MR);
+                pack_panel(at, pc, ic, kc, mc, T::MR, a_pack);
+                let apanel_all = &a_pack[..];
                 for jr in (0..nc).step_by(T::NR) {
                     let nr_eff = T::NR.min(nc - jr);
                     let bpanel = &bpanel_all[(jr / T::NR) * T::NR * kc..];
@@ -1137,8 +885,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// destination element `(i, j)` lives at `c[c_off + i + j * ldc]`. Only the
 /// lower triangle of C is ever written: micro-tiles straddling the diagonal
 /// clip their per-column store range, so no scratch staging is needed and
-/// both operand panels flow through the same [`fetch_panel`] cache as
-/// [`gemm_packed`].
+/// both operand panels are packed exactly as in [`gemm_packed`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn syrk_lower_packed(
     n: usize,
@@ -1182,22 +929,23 @@ fn syrk_lower_packed_impl<T: MicroTile>(
     }
     let (mc_blk, kc_blk, nc_blk) = blocking();
     // Both operands are views of S: B = Sᵀ directly, and the A-panel packing
-    // consumes Aᵀ = Sᵀ too — so the two sides share panel keys whenever the
-    // kc/width grids line up, and the cache serves both.
+    // consumes Aᵀ = Sᵀ too.
     let st = s.transposed();
-    let PackBuffer { a_pack, b_pack, meta, cache_a, cache_b, .. } = pack;
+    let PackBuffer { a_pack, b_pack, .. } = pack;
     for jc in (0..n).step_by(nc_blk) {
         let nc = nc_blk.min(n - jc);
         for pc in (0..k).step_by(kc_blk) {
             let kc = kc_blk.min(k - pc);
-            let bpanel_all = fetch_panel(meta, cache_b, b_pack, st, pc, jc, kc, nc, T::NR);
+            pack_panel(st, pc, jc, kc, nc, T::NR, b_pack);
+            let bpanel_all = &b_pack[..];
             for ic in (0..n).step_by(mc_blk) {
                 let mc = mc_blk.min(n - ic);
                 if ic + mc <= jc {
                     // Entire macro-tile strictly above the diagonal band.
                     continue;
                 }
-                let apanel_all = fetch_panel(meta, cache_a, a_pack, st, pc, ic, kc, mc, T::MR);
+                pack_panel(st, pc, ic, kc, mc, T::MR, a_pack);
+                let apanel_all = &a_pack[..];
                 for jr in (0..nc).step_by(T::NR) {
                     let nr_eff = T::NR.min(nc - jr);
                     let bpanel = &bpanel_all[(jr / T::NR) * T::NR * kc..];
@@ -1998,67 +1746,6 @@ mod tests {
     }
 
     #[test]
-    fn panel_cache_reuse_is_bitwise_and_counts_hits() {
-        let a = test_mat(96, 80, 31);
-        let b = test_mat(80, 96, 32);
-        let mut pack = PackBuffer::new();
-        // Cold pass, cache disabled: the baseline result.
-        let mut c_cold = Matrix::zeros(96, 96);
-        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c_cold);
-        // Enable reuse over both operands and run twice.
-        pack.enable_panel_reuse(true);
-        pack.register_stable(a.as_slice());
-        pack.register_stable(b.as_slice());
-        let mut c1 = Matrix::zeros(96, 96);
-        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c1);
-        let (h1, m1) = pack.panel_stats();
-        assert_eq!(h1, 0, "first eligible pass cannot hit");
-        assert!(m1 > 0, "first eligible pass must record misses");
-        let mut c2 = Matrix::zeros(96, 96);
-        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c2);
-        let (h2, m2) = pack.panel_stats();
-        assert!(h2 > 0, "warm pass must hit the panel cache");
-        assert_eq!(m2, m1, "warm pass must not repack any panel");
-        for (x, y) in c_cold.as_slice().iter().zip(c1.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "cached pack drifted from cold pack");
-        }
-        for (x, y) in c1.as_slice().iter().zip(c2.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "warm pass drifted from cold pass");
-        }
-    }
-
-    #[test]
-    fn panel_cache_re_registration_evicts_stale_panels() {
-        let mut a = test_mat(96, 80, 33);
-        let b = test_mat(80, 96, 34);
-        let mut pack = PackBuffer::new();
-        pack.enable_panel_reuse(true);
-        pack.register_stable(a.as_slice());
-        pack.register_stable(b.as_slice());
-        let mut c1 = Matrix::zeros(96, 96);
-        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c1);
-        // Mutate A, re-register it fresh (the value-write path), recompute.
-        a.as_mut_slice().iter_mut().for_each(|v| *v = 2.0 * *v + 0.25);
-        pack.register_stable(a.as_slice());
-        let mut c2 = Matrix::zeros(96, 96);
-        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c2);
-        let mut c_ref = Matrix::zeros(96, 96);
-        reference::gemm_acc(Trans::No, Trans::No, 1.0, &a, &b, &mut c_ref);
-        assert!(approx_eq(&c2, &c_ref, 1e-10), "stale panels survived re-registration");
-        // Full invalidation drops every entry and the registered regions.
-        pack.invalidate_panels();
-        let (h, m) = pack.panel_stats();
-        let mut c3 = Matrix::zeros(96, 96);
-        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c3);
-        let (h_after, m_after) = pack.panel_stats();
-        assert_eq!(h_after, h, "unregistered operands must not hit");
-        assert_eq!(m_after, m, "unregistered operands must not be cached");
-        for (x, y) in c2.as_slice().iter().zip(c3.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn blocking_override_is_clamped() {
         // Only exercises the pure clamp helper: mutating the global blocking
         // here would race the bitwise/parity tests in this binary.
@@ -2076,6 +1763,45 @@ mod tests {
         gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c2);
         assert_eq!(c1.as_slice(), c2.as_slice());
         assert!(approx_eq(&c1, &matmul(&a, &b), 1e-12));
+    }
+
+    #[test]
+    fn workspace_grown_by_larger_calls_matches_a_fresh_one() {
+        // A pack grown by larger calls still holds their packed panels and
+        // staged blocks; later tile-edge calls must depend on their own
+        // operands only.
+        let spd = |n: usize, seed: usize| {
+            let g = test_mat(n, n, seed);
+            let mut a = Matrix::identity(n);
+            gemm(Trans::No, Trans::Yes, 1.0 / n as f64, &g, &g, 2.0, &mut a);
+            a
+        };
+        let mut warm = PackBuffer::new();
+        crate::chol::potrf_with(&mut warm, &mut spd(200, 50)).unwrap();
+        // 120 columns keep this gemm off the parallel path, so it packs into
+        // `warm` rather than the per-worker packs.
+        let mut c_big = Matrix::zeros(200, 120);
+        let (big_a, big_b) = (test_mat(200, 100, 39), test_mat(120, 100, 40));
+        gemm_with(&mut warm, Trans::No, Trans::Yes, 1.0, &big_a, &big_b, 0.0, &mut c_big);
+
+        let (a, b) = (test_mat(70, 67, 41), test_mat(45, 70, 42));
+        let s = test_mat(69, 66, 43);
+        let x0 = test_mat(70, 77, 44);
+        let mut outputs = Vec::new();
+        for pack in [&mut warm, &mut PackBuffer::new()] {
+            let mut c = Matrix::zeros(67, 45);
+            gemm_with(pack, Trans::Yes, Trans::Yes, 1.0, &a, &b, 0.0, &mut c);
+            let mut k = Matrix::zeros(69, 69);
+            syrk_lower_with(pack, Trans::No, 1.0, &s, 0.0, &mut k);
+            let mut l = spd(77, 45);
+            crate::chol::potrf_with(pack, &mut l).unwrap();
+            let mut x = x0.clone();
+            trsm_with(pack, Side::Right, Triangle::Lower, Trans::Yes, &l, &mut x);
+            outputs.push([c, k, l, x]);
+        }
+        for (w, f) in outputs[0].iter().zip(&outputs[1]) {
+            assert_eq!(w.as_slice(), f.as_slice());
+        }
     }
 
     #[test]

@@ -7,6 +7,21 @@ use dalia_la::blas::{self, reference, KernelTier, Side, Trans, Triangle};
 use dalia_la::{chol, Matrix};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// The kernel tier is process-global and [`forced_dispatch_parity_wall`]
+/// switches it, while the harness runs this binary's tests on concurrent
+/// threads: every test body holds this lock, so each one runs on the entry
+/// tier (the one `DALIA_KERNEL_TIER` selects) and the wall never switches
+/// tiers under another test. The proptest bodies take it per case; their
+/// strategies only build inputs, which both sides of each comparison share.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding the lock leaves nothing to repair:
+    // the guarded value is `()`.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn rand_matrix(rng: &mut TestRng, m: usize, n: usize) -> Matrix {
     Matrix::from_fn(m, n, |_, _| rng.uniform_f64(-1.0, 1.0))
@@ -66,6 +81,7 @@ proptest! {
         let c = rand_matrix(&mut rng, m, n);
         (ta, tb, alpha, beta, a, b, c)
     })) {
+        let _serial = serial();
         let (ta, tb, alpha, beta, a, b, c0) = case;
         let mut c_blk = c0.clone();
         blas::gemm(ta, tb, alpha, &a, &b, beta, &mut c_blk);
@@ -93,6 +109,7 @@ proptest! {
         let full = rng.uniform_usize(0, 2) == 0;
         (trans, alpha, beta, a, c, full)
     })) {
+        let _serial = serial();
         let (trans, alpha, beta, a, c0, full) = case;
         let mut c_blk = c0.clone();
         let mut c_ref = c0;
@@ -125,6 +142,7 @@ proptest! {
         };
         (side, trans, l, b)
     })) {
+        let _serial = serial();
         let (side, trans, l, b0) = case;
         let mut b_blk = b0.clone();
         blas::trsm(side, Triangle::Lower, trans, &l, &mut b_blk);
@@ -146,6 +164,7 @@ proptest! {
         let n = rng.uniform_usize(0, 150);
         rand_spd(&mut rng, n)
     })) {
+        let _serial = serial();
         let mut a_blk = case.clone();
         let mut a_ref = case;
         chol::potrf(&mut a_blk).unwrap();
@@ -165,6 +184,7 @@ proptest! {
         a[(bad, bad)] = -5.0;
         a
     })) {
+        let _serial = serial();
         let mut a_blk = case.clone();
         let mut a_ref = case;
         prop_assert!(chol::potrf(&mut a_blk).is_err());
@@ -181,6 +201,7 @@ proptest! {
 /// The entry tier is restored afterwards.
 #[test]
 fn forced_dispatch_parity_wall() {
+    let _serial = serial();
     let entry_tier = blas::kernel_tier();
     for tier in KernelTier::ALL {
         if !blas::set_kernel_tier(tier) {
@@ -270,6 +291,7 @@ fn forced_dispatch_parity_wall() {
 /// changes: 0, 1, the 8×4 micro-tile edges, and the 64-wide panel boundary.
 #[test]
 fn tile_and_panel_boundary_parity() {
+    let _serial = serial();
     let mut rng = TestRng::deterministic(0xDA11A);
     for n in [0usize, 1, 3, 7, 8, 9, 31, 33, 63, 64, 65, 96] {
         // gemm at a boundary-straddling shape.

@@ -242,18 +242,6 @@ impl InteriorPacks {
             schur: PackBuffer::new(),
         }
     }
-
-    /// Drop any cached packed panels in every lane. The lanes run with panel
-    /// reuse disabled today (the interior blocks are rewritten every
-    /// elimination, and the lanes run concurrently), so this is a defensive
-    /// no-op kept cheap by the disabled-cache fast path — but it keeps the
-    /// invalidation contract uniform across all pack owners.
-    pub(crate) fn invalidate_panels(&mut self) {
-        self.diag.invalidate_panels();
-        self.left.invalidate_panels();
-        self.arrow.invalidate_panels();
-        self.schur.invalidate_panels();
-    }
 }
 
 /// Run three independent subtasks of one column step, either as a

@@ -60,44 +60,10 @@ pub fn pobtaf_with(
     Ok(BtaCholesky { blocks: m })
 }
 
-/// Register every block of `m` with the panel cache of `pack`.
-///
-/// `fresh = true` (factorization entry) promises the blocks are about to be
-/// overwritten once and then only read — cached panels overlapping them are
-/// dropped. `fresh = false` (solve / selected-inversion entry on a finished
-/// factor) promises the blocks are unchanged since the last registration, so
-/// panels packed during the factorization are served straight back.
-/// No-ops unless [`PackBuffer::enable_panel_reuse`] is on.
-fn register_bta_blocks(pack: &mut PackBuffer, m: &BtaMatrix, fresh: bool) {
-    if !pack.panel_reuse_enabled() {
-        return;
-    }
-    let reg: fn(&mut PackBuffer, &[f64]) =
-        if fresh { PackBuffer::register_stable } else { PackBuffer::register_stable_readonly };
-    for d in &m.diag {
-        reg(pack, d.as_slice());
-    }
-    for s in &m.sub {
-        reg(pack, s.as_slice());
-    }
-    for c in &m.arrow {
-        reg(pack, c.as_slice());
-    }
-    reg(pack, m.tip.as_slice());
-}
-
 /// The factorization kernel: overwrite `m` with its block Cholesky factor.
-///
-/// The factor blocks are write-once-then-read within the sweep (each block is
-/// finalized by its potrf/trsm before any kernel packs panels from it), so
-/// they are registered as stable packing sources: with panel reuse enabled on
-/// `pack`, the `L_ii` panels shared by the sub-diagonal and arrow `trsm`s —
-/// and the factor panels re-read by later [`pobtas`] / [`pobtasi`] sweeps —
-/// are packed exactly once.
 pub(crate) fn factor_in_place(m: &mut BtaMatrix, pack: &mut PackBuffer) -> Result<(), SerinvError> {
     let n = m.n;
     let has_arrow = m.a > 0;
-    register_bta_blocks(pack, m, true);
 
     for i in 0..n {
         // Factorize the diagonal block: D_i = L_ii L_iiᵀ.
@@ -148,18 +114,12 @@ pub fn pobtas(factor: &BtaCholesky, rhs: &mut Matrix) {
 }
 
 /// [`pobtas`] with an explicit kernel packing workspace.
-///
-/// The factor blocks are registered with the panel cache as read-only stable
-/// sources, so repeated solves against one factor (the conditional-mean
-/// solves of an inner Newton loop, posterior draws) re-use the factor panels
-/// packed by the factorization instead of re-packing them per sweep.
 pub fn pobtas_with(factor: &BtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffer) {
     let m = &factor.blocks;
     let (n, b, a) = (m.n, m.b, m.a);
     assert_eq!(rhs.nrows(), m.dim(), "pobtas: rhs dimension mismatch");
     let k = rhs.ncols();
     let a0 = n * b;
-    register_bta_blocks(pack, m, false);
 
     // Forward substitution: L y = rhs.
     for i in 0..n {
@@ -203,8 +163,7 @@ pub fn pobtas_lt(factor: &BtaCholesky, rhs: &mut Matrix) {
 
 /// Backward substitution `Lᵀ X = Y`, overwriting `rhs`, for the factor
 /// blocks `m`: the second half of [`pobtas_with`] and the whole of
-/// [`pobtas_lt`]. The caller checks the dimension and registers the blocks
-/// with `pack`.
+/// [`pobtas_lt`]. The caller checks the dimension.
 fn backward_sweep(m: &BtaMatrix, rhs: &mut Matrix, pack: &mut PackBuffer) {
     let (n, b, a) = (m.n, m.b, m.a);
     let k = rhs.ncols();
@@ -265,15 +224,11 @@ pub fn pobtasi(factor: &BtaCholesky) -> BtaSelectedInverse {
 }
 
 /// [`pobtasi`] with an explicit kernel packing workspace threaded through the
-/// backward block sweep (pure `trsm` / `gemm` work). The factor blocks are
-/// registered read-only with the panel cache, so a selected inversion right
-/// after a factorization (or a repeated one on an unchanged factor) re-uses
-/// the factor panels instead of re-packing them.
+/// backward block sweep (pure `trsm` / `gemm` work).
 pub fn pobtasi_with(factor: &BtaCholesky, pack: &mut PackBuffer) -> BtaSelectedInverse {
     let m = &factor.blocks;
     let (n, b, a) = (m.n, m.b, m.a);
     let mut inv = BtaMatrix::zeros(n, b, a);
-    register_bta_blocks(pack, m, false);
 
     // Σ_TT = L_TT^{-T} L_TT^{-1}.
     if a > 0 {
@@ -462,9 +417,9 @@ mod tests {
 
     #[test]
     fn warm_session_pack_solves_and_inverts_bitwise_like_transient_packs() {
-        // The session path (factor, solve and selected inversion on one pack
-        // with the panel cache on) must agree to the last bit with the plain
-        // entry points, which pack afresh per call.
+        // The session path (factor, solve and selected inversion on one
+        // reused pack) must agree to the last bit with the plain entry
+        // points, which pack into a transient workspace per call.
         let a = test_matrix(5, 3, 2, 14);
         let cold = pobtaf(&a).unwrap();
         let mut cold_x = test_rhs(a.dim(), 2);
@@ -472,7 +427,6 @@ mod tests {
         let cold_vars = pobtasi(&cold).diagonal();
 
         let mut pack = PackBuffer::new();
-        pack.enable_panel_reuse(true);
         let warm = pobtaf_with(&a, None, &mut pack).unwrap();
         for round in 0..2 {
             let mut x = test_rhs(a.dim(), 2);

@@ -66,13 +66,9 @@ impl StreamPacks {
         StreamPacks { packs: InteriorPacks::new() }
     }
 
-    /// Drop any cached packed panels in every lane. The streaming kernels
-    /// rewrite factor blocks in place on every extend/retire, so they call
-    /// this defensively at entry; with the lanes' panel caches disabled (the
-    /// default) it is a no-op.
-    pub fn invalidate_panels(&mut self) {
-        self.packs.invalidate_panels();
-    }
+    // No-op kept only because `perfbench/` calls it; goes with the next benchmark change.
+    #[doc(hidden)]
+    pub fn invalidate_panels(&mut self) {}
 }
 
 impl Default for StreamPacks {
@@ -125,9 +121,6 @@ pub fn pobtaf_extend_scheduled(
     let split = sched == InteriorSchedule::Stealable
         && m.b >= STEAL_MIN_BLOCK
         && dalia_pool::current_num_threads() > 1;
-    // The extend rewrites factor blocks in place: stale packed panels from a
-    // previous window must not survive into this one.
-    packs.invalidate_panels();
     let packs = &mut packs.packs;
 
     // Grow the factor storage and overwrite the recomputed region with the
@@ -247,9 +240,6 @@ pub fn pobtaf_retire_scheduled(
         && m.b >= STEAL_MIN_BLOCK
         && a_new.n > 1
         && dalia_pool::current_num_threads() > 1;
-    // Retirement rewrites every factor block in place: stale packed panels
-    // from the previous window must not survive into this one.
-    packs.invalidate_panels();
 
     // Shrink the storage to the new window, keeping the allocations of the
     // surviving blocks, then overwrite with the new assembled values.

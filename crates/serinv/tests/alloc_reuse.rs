@@ -1,4 +1,5 @@
-//! Allocation-count pin for the distributed solve / selected-inverse passes.
+//! Allocation-count pins: the distributed solve / selected-inverse passes,
+//! and the warm sequential factorization.
 //!
 //! `d_pobtas` / `d_pobtasi` sit in the per-θ hot loop, so their reduced-system
 //! coupling blocks must be shared across partitions, not cloned per partition
@@ -110,43 +111,29 @@ const SOLVE_ALLOC_BUDGET: usize = 95;
 const SELINV_ALLOC_BUDGET: usize = 190;
 
 #[test]
-fn warm_solve_and_selinv_take_the_zero_repack_fast_path() {
+fn warm_pobtaf_with_allocates_nothing() {
     use dalia_la::PackBuffer;
-    use serinv::{pobtaf_with, pobtas_with, pobtasi_with};
+    use serinv::pobtaf_with;
     let _serial = serial();
 
-    // b = 64 puts the inner gemm/syrk calls exactly at the packed-path
-    // threshold (64·8·64 and 64³ ≥ the naive-kernel cutoff), so the solve and
-    // selected inversion actually fetch panels of the registered factor.
-    let (n, b, a) = (3, 64, 8);
-    let m = test_matrix(n, b, a, 9);
-    let pool = dalia_pool::ThreadPool::new(1);
-
-    pool.install(|| {
-        let mut pack = PackBuffer::new();
-        pack.enable_panel_reuse(true);
-        let factor = pobtaf_with(&m, None, &mut pack).expect("factorizes");
-
-        // Warm pass: populates the panel cache for every factor-block panel
-        // the solve and selected inverse touch.
-        let mut rhs = test_rhs(m.dim(), 8);
-        pobtas_with(&factor, &mut rhs, &mut pack);
-        let _ = pobtasi_with(&factor, &mut pack);
-        let (h1, m1) = pack.panel_stats();
-        assert!(m1 > 0, "warm-up should have packed factor panels");
-
-        // Steady state on the unchanged factor: every eligible panel fetch
-        // must be served from the cache — zero repacks.
-        let mut rhs2 = test_rhs(m.dim(), 8);
-        pobtas_with(&factor, &mut rhs2, &mut pack);
-        let _ = pobtasi_with(&factor, &mut pack);
-        let (h2, m2) = pack.panel_stats();
-        assert_eq!(
-            m2 - m1,
-            0,
-            "warm solve/selinv repacked {} panels of an unchanged factor",
-            m2 - m1
-        );
-        assert!(h2 > h1, "warm solve/selinv should hit the panel cache");
-    });
+    // (3, 64, 8) puts the inner kernels exactly at the packed-path threshold;
+    // b = 130 is no multiple of any tier's micro-tile, so packing pads.
+    for (n, b, a) in [(3, 64, 8), (4, 130, 3)] {
+        let m = test_matrix(n, b, a, 9);
+        let pool = dalia_pool::ThreadPool::new(1);
+        pool.install(|| {
+            // Warm the pack and produce factor storage to recycle.
+            let mut pack = PackBuffer::new();
+            let cold = pobtaf_with(&m, None, &mut pack).expect("factorizes");
+            let mut storage = Some(cold.blocks);
+            let allocs = allocs_during(|| {
+                let warm = pobtaf_with(&m, storage.take(), &mut pack).expect("factorizes");
+                storage = Some(warm.blocks);
+            });
+            assert_eq!(
+                allocs, 0,
+                "warm pobtaf_with allocated {allocs} times at (n,b,a) = ({n},{b},{a})"
+            );
+        });
+    }
 }

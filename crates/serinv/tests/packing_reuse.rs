@@ -1,43 +1,52 @@
-//! Bitwise packing-reuse wall: warm-session BTA factorizations with the
-//! keyed panel cache enabled must be **bit-identical** to pack-per-call,
-//! across the `Q_p`/`Q_c` factorization pair, across simulated BFGS
-//! iterations (values rewritten, cache invalidated, storage recycled), and
-//! at 1 and 4 pinned worker threads.
+//! Bitwise packing wall: a warm BTA session — one reused `PackBuffer` and
+//! factor storage recycled across simulated BFGS iterations — must be
+//! **bit-identical** to the plain entry points, which pack into a transient
+//! workspace and factor into fresh storage per call, across the `Q_p`/`Q_c`
+//! factorization pair and at 1 and 4 pinned worker threads.
 //!
-//! The cache can only change *when* a panel is packed, never *what* it
-//! contains — `pack_panel` is deterministic in its inputs — so every factor
-//! block, solve and selected-inverse output must match the cache-disabled
-//! run bit for bit. Any drift here means a stale panel was served.
+//! A reused workspace can only change *where* a panel is packed, never *what*
+//! it contains — `pack_panel` rewrites every element it hands the
+//! micro-kernel — so every factor block, solve and selected-inverse output
+//! must match bit for bit. Any drift means state leaked between calls.
 
 use dalia_la::PackBuffer;
 use serinv::testing::{test_matrix, test_rhs};
-use serinv::{pobtaf_with, pobtas_with, pobtasi_with};
+use serinv::{pobtaf, pobtaf_with, pobtas, pobtas_with, pobtasi, pobtasi_with};
+
+/// b = 64 crosses the packed-path threshold (64³ ≥ the naive cutoff), so the
+/// factorization and selected inversion run the cache-blocked engine.
+const SHAPE: (usize, usize, usize) = (4, 64, 8);
+const ITERS: u64 = 3;
 
 /// Run a 3-iteration "BFGS" session: per iteration, assemble fresh `Q_p` /
-/// `Q_c` values, factorize both recycling the previous factors' storage,
-/// then solve and selected-invert against the conditional factor. Returns
-/// every output bit produced, plus the final `(hits, misses)` panel stats.
-fn session(threads: usize, reuse: bool) -> (Vec<u64>, (u64, u64)) {
-    // b = 64 crosses the packed-path threshold (64³ ≥ the naive cutoff), so
-    // the factorization and selected inversion run the cache-blocked engine.
-    let (n, b, a) = (4usize, 64usize, 8usize);
-    let pool = dalia_pool::ThreadPool::new(threads);
-    pool.install(|| {
+/// `Q_c` values, factorize both, then solve and selected-invert against the
+/// conditional factor. `warm` threads one reused pack through every call and
+/// recycles the previous factors' storage; otherwise every call goes through
+/// the plain entry points. Returns every output bit produced.
+fn session(threads: usize, warm: bool) -> Vec<u64> {
+    let (n, b, a) = SHAPE;
+    dalia_pool::ThreadPool::new(threads).install(|| {
         let mut pack = PackBuffer::new();
-        pack.enable_panel_reuse(reuse);
         let mut fp_store = None;
         let mut fc_store = None;
         let mut bits = Vec::new();
-        for iter in 0..3u64 {
-            // The assemble path contract: values change → panels invalid.
-            pack.invalidate_panels();
+        for iter in 0..ITERS {
             let qp = test_matrix(n, b, a, 100 + iter);
             let qc = test_matrix(n, b, a, 200 + iter);
-            let fp = pobtaf_with(&qp, fp_store.take(), &mut pack).expect("qp factorizes");
-            let fc = pobtaf_with(&qc, fc_store.take(), &mut pack).expect("qc factorizes");
             let mut rhs = test_rhs(qc.dim(), 8);
-            pobtas_with(&fc, &mut rhs, &mut pack);
-            let sel = pobtasi_with(&fc, &mut pack);
+            let (fp, fc, sel) = if warm {
+                let fp = pobtaf_with(&qp, fp_store.take(), &mut pack).expect("qp factorizes");
+                let fc = pobtaf_with(&qc, fc_store.take(), &mut pack).expect("qc factorizes");
+                pobtas_with(&fc, &mut rhs, &mut pack);
+                let sel = pobtasi_with(&fc, &mut pack);
+                (fp, fc, sel)
+            } else {
+                let fp = pobtaf(&qp).expect("qp factorizes");
+                let fc = pobtaf(&qc).expect("qc factorizes");
+                pobtas(&fc, &mut rhs);
+                let sel = pobtasi(&fc);
+                (fp, fc, sel)
+            };
             for f in [&fp, &fc] {
                 for d in &f.blocks.diag {
                     bits.extend(d.as_slice().iter().map(|v| v.to_bits()));
@@ -55,27 +64,20 @@ fn session(threads: usize, reuse: bool) -> (Vec<u64>, (u64, u64)) {
             fp_store = Some(fp.blocks);
             fc_store = Some(fc.blocks);
         }
-        (bits, pack.panel_stats())
+        bits
     })
 }
 
 #[test]
-fn warm_session_with_panel_reuse_is_bitwise_identical_to_pack_per_call() {
+fn warm_session_is_bitwise_identical_to_transient_packs() {
     for threads in [1usize, 4] {
-        let (cold, cold_stats) = session(threads, false);
-        let (warm, warm_stats) = session(threads, true);
-        assert_eq!(cold_stats, (0, 0), "disabled cache must not count fetches");
-        assert!(
-            warm_stats.0 > 0,
-            "warm session must hit the panel cache (hits={}, misses={})",
-            warm_stats.0,
-            warm_stats.1
-        );
-        assert_eq!(cold.len(), warm.len());
-        let drift = cold.iter().zip(&warm).position(|(c, w)| c != w);
+        let transient = session(threads, false);
+        let warm = session(threads, true);
+        assert_eq!(transient.len(), warm.len());
+        let drift = transient.iter().zip(&warm).position(|(t, w)| t != w);
         assert_eq!(
             drift, None,
-            "panel-cache reuse drifted from pack-per-call at {threads} threads (first \
+            "reused-pack session drifted from transient packs at {threads} threads (first \
              differing output word: {drift:?})"
         );
     }
@@ -83,10 +85,12 @@ fn warm_session_with_panel_reuse_is_bitwise_identical_to_pack_per_call() {
 
 #[test]
 fn warm_session_outputs_are_thread_count_invariant() {
-    // The BTA kernels are bitwise deterministic across pool widths; the panel
-    // cache must preserve that (its panels are keyed per PackBuffer and the
-    // parallel-gemm leaves use their own thread-local, cache-disabled packs).
-    let (one, _) = session(1, true);
-    let (four, _) = session(4, true);
-    assert_eq!(one, four, "warm-session outputs changed with the worker thread count");
+    // The BTA kernels are bitwise deterministic across pool widths; a reused
+    // session pack must preserve that (the parallel-gemm leaves pack into
+    // their own thread-local workspaces).
+    assert_eq!(
+        session(1, true),
+        session(4, true),
+        "warm-session outputs changed with the worker thread count"
+    );
 }

@@ -1805,6 +1805,49 @@ mod tests {
     }
 
     #[test]
+    fn operands_rewritten_in_place_are_repacked() {
+        // The pack keys nothing by operand address: rewriting an operand's
+        // values in place between calls on one pack must give exactly what a
+        // fresh pack gives. The retained no-op switches must not change that.
+        let mut a = test_mat(96, 80, 33);
+        let b = test_mat(80, 96, 34);
+        let mut pack = PackBuffer::new();
+        pack.enable_panel_reuse(true);
+        let mut c = Matrix::zeros(96, 96);
+        gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c);
+        let mut k = Matrix::zeros(96, 96);
+        syrk_lower_with(&mut pack, Trans::No, 1.0, &a, 0.0, &mut k);
+
+        let ptr = a.as_slice().as_ptr();
+        a.as_mut_slice().iter_mut().for_each(|v| *v = 2.0 * *v + 0.25);
+        assert_eq!(a.as_slice().as_ptr(), ptr);
+        for invalidate in [false, true] {
+            if invalidate {
+                pack.invalidate_panels();
+            }
+            let mut c_warm = Matrix::zeros(96, 96);
+            gemm_with(&mut pack, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c_warm);
+            let mut k_warm = Matrix::zeros(96, 96);
+            syrk_lower_with(&mut pack, Trans::No, 1.0, &a, 0.0, &mut k_warm);
+
+            let mut fresh = PackBuffer::new();
+            let mut c_fresh = Matrix::zeros(96, 96);
+            gemm_with(&mut fresh, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c_fresh);
+            let mut k_fresh = Matrix::zeros(96, 96);
+            syrk_lower_with(&mut fresh, Trans::No, 1.0, &a, 0.0, &mut k_fresh);
+            assert_eq!(c_warm.as_slice(), c_fresh.as_slice(), "stale gemm panels");
+            assert_eq!(k_warm.as_slice(), k_fresh.as_slice(), "stale syrk panels");
+
+            let mut c_ref = Matrix::zeros(96, 96);
+            reference::gemm_acc(Trans::No, Trans::No, 1.0, &a, &b, &mut c_ref);
+            assert!(approx_eq(&c_warm, &c_ref, 1e-10));
+            let mut k_ref = Matrix::zeros(96, 96);
+            reference::syrk_lower(Trans::No, 1.0, &a, 0.0, &mut k_ref);
+            assert!(approx_eq(&k_warm, &k_ref, 1e-10));
+        }
+    }
+
+    #[test]
     fn parallel_gemm_is_bitwise_identical_to_sequential_packed() {
         // 160·144·150 = 3.46M > PAR_MIN_FLOPS with 144 ≥ 2·PAR_MIN_COLS
         // columns. The parallel side runs inside a pool pinned to 4 workers

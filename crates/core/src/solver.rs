@@ -285,6 +285,9 @@ struct BtaWorkspace {
     qc: BtaMatrix,
     pack: PackBuffer,
     design: Option<CsrMatrix>,
+    /// `Aᵀ W A` of the last assembly or re-weighting, kept so every θ
+    /// re-fills the same storage.
+    congruence: CsrMatrix,
     timers: PhaseTimers,
 }
 
@@ -296,6 +299,7 @@ impl BtaWorkspace {
             qc: BtaMatrix::zeros(d.nt, d.block_size(), d.arrow_size()),
             pack: PackBuffer::new(),
             design: None,
+            congruence: CsrMatrix::zeros(0, 0),
             timers: PhaseTimers::default(),
             model,
         }
@@ -324,7 +328,7 @@ impl BtaWorkspace {
         let t0 = Instant::now();
         self.model.assemble_qp_bta_into(hyper, &mut self.qp);
         self.qc.copy_values_from(&self.qp);
-        let design = self.model.extend_qp_to_qc(hyper, &mut self.qc);
+        let design = self.model.extend_qp_to_qc(hyper, &mut self.qc, &mut self.congruence);
         self.timers.assembly_seconds += t0.elapsed().as_secs_f64();
         self.design = Some(design);
     }
@@ -341,8 +345,8 @@ impl BtaWorkspace {
         let design =
             self.design.as_ref().expect("LatentSolver: factorize must be called first");
         self.qc.copy_values_from(&self.qp);
-        let congruence = ops::congruence_diag(design, weights);
-        self.model.add_congruence_to_bta(&congruence, &mut self.qc);
+        ops::congruence_diag_into(design, weights, &mut self.congruence);
+        self.model.add_congruence_to_bta(&self.congruence, &mut self.qc);
         self.timers.assembly_seconds += t0.elapsed().as_secs_f64();
     }
 }
@@ -1184,6 +1188,21 @@ mod tests {
         assert_eq!(diag_ptr(&solver.fc), c0, "Q_c factor storage must be recycled");
         solver.factorize_conditional(&hyper).unwrap();
         assert_eq!(diag_ptr(&solver.fc), c0, "conditional refactorization must recycle too");
+    }
+
+    #[test]
+    fn assembly_rebuilds_the_congruence_in_kept_storage() {
+        let (model, hyper) = toy_model(1);
+        let mut theta2 = hyper.to_theta();
+        theta2[0] += 0.3;
+        let hyper2 = ModelHyper::from_theta(1, &theta2);
+        let mut solver = BtaSolver::new(model.clone(), 1, 1.0);
+        solver.factorize(&hyper).unwrap();
+        let kept = solver.ws.congruence.values().as_ptr();
+        solver.factorize(&hyper2).unwrap();
+        assert_eq!(solver.ws.congruence.values().as_ptr(), kept);
+        solver.refactorize_conditional(&model.initial_working_weights(&hyper2)).unwrap();
+        assert_eq!(solver.ws.congruence.values().as_ptr(), kept);
     }
 
     #[test]

@@ -422,7 +422,7 @@ impl CoregionalModel {
     /// workspace contract.
     pub fn assemble_qc_bta_into(&self, hyper: &ModelHyper, bta: &mut BtaMatrix) -> CsrMatrix {
         self.assemble_qp_bta_into(hyper, bta);
-        self.extend_qp_to_qc(hyper, bta)
+        self.extend_qp_to_qc(hyper, bta, &mut CsrMatrix::zeros(0, 0))
     }
 
     /// Turn a workspace currently holding `Q_p` values into `Q_c` by adding
@@ -431,12 +431,18 @@ impl CoregionalModel {
     /// copy it, and extend the copy. `W` is the Gaussian noise-precision
     /// diagonal, or for non-Gaussian families the working weights at `η = 0`
     /// (the inner Newton loop's starting point; the loop re-assembles the
-    /// perturbation from updated weights as it iterates).
-    pub fn extend_qp_to_qc(&self, hyper: &ModelHyper, bta: &mut BtaMatrix) -> CsrMatrix {
+    /// perturbation from updated weights as it iterates). `Aᵀ W A` is built
+    /// in `congruence`, whose storage a caller extending once per θ keeps.
+    pub fn extend_qp_to_qc(
+        &self,
+        hyper: &ModelHyper,
+        bta: &mut BtaMatrix,
+        congruence: &mut CsrMatrix,
+    ) -> CsrMatrix {
         let design = self.joint_design(hyper);
         let d_diag = self.initial_working_weights(hyper);
-        let congruence = ops::congruence_diag(&design, &d_diag);
-        self.add_congruence_to_bta(&congruence, bta);
+        ops::congruence_diag_into(&design, &d_diag, congruence);
+        self.add_congruence_to_bta(congruence, bta);
         design
     }
 
@@ -704,7 +710,7 @@ mod tests {
         // extend_qp_to_qc on a copied Q_p gives the same Q_c.
         let mut copied = BtaMatrix::zeros(d.nt, d.block_size(), d.arrow_size());
         model.assemble_qp_bta_into(&hyper, &mut copied);
-        model.extend_qp_to_qc(&hyper, &mut copied);
+        model.extend_qp_to_qc(&hyper, &mut copied, &mut CsrMatrix::zeros(0, 0));
         assert_eq!(copied.to_dense().max_abs_diff(&qc_fresh.to_dense()), 0.0);
     }
 

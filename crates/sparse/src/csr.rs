@@ -61,35 +61,61 @@ impl CsrMatrix {
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let (nrows, ncols) = coo.shape();
         let (rows, cols, vals) = coo.triplets();
-        // Count entries per row (with duplicates).
-        let mut counts = vec![0usize; nrows];
-        for &r in rows {
-            counts[r] += 1;
+        let mut m = Self::zeros(nrows, ncols);
+        m.assign_entries(nrows, ncols, || {
+            rows.iter().zip(cols).zip(vals).map(|((&r, &c), &v)| (r, c, v))
+        });
+        m
+    }
+
+    /// Overwrite `self` with the `nrows × ncols` sum of the `(row, col,
+    /// value)` entries that `entries()` yields, keeping this matrix's
+    /// allocations: once it has held a matrix as large, re-filling it
+    /// allocates only one sort buffer the size of its longest row. `entries`
+    /// is called twice (to size the rows, then to fill them) and must yield
+    /// the same sequence both times. Each row's entries, in yield order, are
+    /// sorted by column and equal columns summed in sorted order.
+    pub(crate) fn assign_entries<I>(&mut self, nrows: usize, ncols: usize, entries: impl Fn() -> I)
+    where
+        I: Iterator<Item = (usize, usize, f64)>,
+    {
+        self.nrows = nrows;
+        self.ncols = ncols;
+        // Bucket the entries by row, in yield order: `row_ptr[r + 1]` first
+        // counts row r; after the prefix sum `row_ptr[r]` is the start of row
+        // r's bucket, and filling advances it to the bucket's end.
+        self.row_ptr.clear();
+        self.row_ptr.resize(nrows + 1, 0);
+        for (r, _, _) in entries() {
+            self.row_ptr[r + 1] += 1;
         }
-        let mut row_ptr = vec![0usize; nrows + 1];
         for i in 0..nrows {
-            row_ptr[i + 1] = row_ptr[i] + counts[i];
+            self.row_ptr[i + 1] += self.row_ptr[i];
         }
-        let nnz = row_ptr[nrows];
-        let mut col_idx = vec![0usize; nnz];
-        let mut values = vec![0.0f64; nnz];
-        let mut next = row_ptr.clone();
-        for k in 0..vals.len() {
-            let pos = next[rows[k]];
-            col_idx[pos] = cols[k];
-            values[pos] = vals[k];
-            next[rows[k]] += 1;
+        let nnz = self.row_ptr[nrows];
+        self.col_idx.clear();
+        self.col_idx.resize(nnz, 0);
+        self.values.clear();
+        self.values.resize(nnz, 0.0);
+        for (r, c, v) in entries() {
+            let pos = self.row_ptr[r];
+            self.col_idx[pos] = c;
+            self.values[pos] = v;
+            self.row_ptr[r] += 1;
         }
-        // Sort each row by column and merge duplicates.
-        let mut out_row_ptr = vec![0usize; nrows + 1];
-        let mut out_col = Vec::with_capacity(nnz);
-        let mut out_val = Vec::with_capacity(nnz);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        // Bucket ends back to bucket starts.
+        self.row_ptr.copy_within(0..nrows, 1);
+        self.row_ptr[0] = 0;
+        // Sort each row by column and merge duplicates, compacting in place:
+        // merged rows are never longer than their buckets, and each bucket is
+        // copied out before its row's output overwrites it.
+        let longest = self.row_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut scratch: Vec<(usize, f64)> = Vec::with_capacity(longest);
+        let (mut lo, mut out) = (0, 0);
         for r in 0..nrows {
+            let hi = self.row_ptr[r + 1];
             scratch.clear();
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                scratch.push((col_idx[k], values[k]));
-            }
+            scratch.extend(self.col_idx[lo..hi].iter().copied().zip(self.values[lo..hi].iter().copied()));
             scratch.sort_unstable_by_key(|&(c, _)| c);
             let mut i = 0;
             while i < scratch.len() {
@@ -100,13 +126,16 @@ impl CsrMatrix {
                     v += scratch[j].1;
                     j += 1;
                 }
-                out_col.push(c);
-                out_val.push(v);
+                self.col_idx[out] = c;
+                self.values[out] = v;
+                out += 1;
                 i = j;
             }
-            out_row_ptr[r + 1] = out_col.len();
+            self.row_ptr[r + 1] = out;
+            lo = hi;
         }
-        Self { nrows, ncols, row_ptr: out_row_ptr, col_idx: out_col, values: out_val }
+        self.col_idx.truncate(out);
+        self.values.truncate(out);
     }
 
     /// Build from a dense matrix, keeping entries with |value| > tol.

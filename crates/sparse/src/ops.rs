@@ -73,22 +73,27 @@ pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 /// of the log-likelihood (for Gaussian observations, the observation
 /// precisions).
 pub fn congruence_diag(a: &CsrMatrix, d: &[f64]) -> CsrMatrix {
+    let mut out = CsrMatrix::zeros(a.ncols(), a.ncols());
+    congruence_diag_into(a, d, &mut out);
+    out
+}
+
+/// [`congruence_diag`] into `out`, bitwise identical to it, reusing `out`'s
+/// storage: callers that rebuild `AᵀDA` for every θ (the solver workspaces)
+/// keep one `out` and stop re-allocating its multi-megabyte entry arrays.
+pub fn congruence_diag_into(a: &CsrMatrix, d: &[f64], out: &mut CsrMatrix) {
     assert_eq!(d.len(), a.nrows(), "congruence_diag: D dimension mismatch");
     let n = a.ncols();
-    let mut coo = CooMatrix::new(n, n);
-    for r in 0..a.nrows() {
-        let dr = d[r];
-        if dr == 0.0 {
-            continue;
-        }
-        let row: Vec<(usize, f64)> = a.row_iter(r).collect();
-        for &(ci, vi) in &row {
-            for &(cj, vj) in &row {
-                coo.push(ci, cj, dr * vi * vj);
-            }
-        }
-    }
-    coo.to_csr()
+    out.assign_entries(n, n, || {
+        (0..a.nrows())
+            .filter(|&r| d[r] != 0.0)
+            .flat_map(move |r| {
+                a.row_iter(r).flat_map(move |(ci, vi)| {
+                    a.row_iter(r).map(move |(cj, vj)| (ci, cj, d[r] * vi * vj))
+                })
+            })
+            .filter(|&(_, _, v)| v != 0.0)
+    });
 }
 
 /// Kronecker product `A ⊗ B`.
@@ -225,6 +230,39 @@ mod tests {
         let expected = matmul(&matmul(&ad.transpose(), &dm), &ad);
         assert!(c.to_dense().max_abs_diff(&expected) < 1e-12);
         assert!(c.is_symmetric(1e-12));
+    }
+
+    #[test]
+    fn congruence_into_reused_storage_keeps_the_summation_order() {
+        // Each output entry sums dozens of inexact products, so a change in
+        // their order shows in the bits. Reference: the products bucketed by
+        // output row in push order, sorted by column, summed in sorted order.
+        let mut out = CsrMatrix::zeros(0, 0);
+        for (nrows, ncols, seed) in [(60, 14, 1), (25, 9, 2), (60, 14, 3)] {
+            let mut coo = CooMatrix::new(nrows, ncols);
+            for (i, j) in (0..nrows).flat_map(|i| (0..ncols).map(move |j| (i, j))) {
+                if !(i * 7 + j * 3 + seed).is_multiple_of(4) {
+                    coo.push(i, j, ((i * ncols + j + seed) as f64 * 0.37).sin());
+                }
+            }
+            let a = coo.to_csr();
+            let d: Vec<f64> = (0..nrows).map(|i| if i % 5 == 2 { 0.0 } else { 0.3 + i as f64 }).collect();
+            let mut buckets = vec![Vec::new(); ncols];
+            for r in (0..nrows).filter(|&r| d[r] != 0.0) {
+                for ((ci, vi), (cj, vj)) in a.row_iter(r).flat_map(|x| a.row_iter(r).map(move |y| (x, y))) {
+                    buckets[ci].push((cj, d[r] * vi * vj));
+                }
+            }
+            congruence_diag_into(&a, &d, &mut out);
+            assert_eq!(out, congruence_diag(&a, &d));
+            for (ci, mut bucket) in buckets.into_iter().enumerate() {
+                bucket.sort_unstable_by_key(|&(c, _)| c);
+                bucket.dedup_by(|next, kept| next.0 == kept.0 && { kept.1 += next.1; true });
+                let bits = |(c, v): (usize, f64)| (c, v.to_bits());
+                let want: Vec<_> = bucket.into_iter().map(bits).collect();
+                assert_eq!(out.row_iter(ci).map(bits).collect::<Vec<_>>(), want, "row {ci}");
+            }
+        }
     }
 
     #[test]

@@ -205,8 +205,11 @@ impl InlaSession {
         Ok(self.evaluate(theta)?.value)
     }
 
-    /// Time one full gradient evaluation (one BFGS iteration's worth of
-    /// objective evaluations). Returns `(seconds, solver_seconds)`.
+    /// Time one full gradient evaluation: the `2·dim(θ) + 1` objective
+    /// evaluations of one S1 fan-out, as BFGS spends at its start point (each
+    /// later iteration adds one evaluation per line-search trial to the
+    /// `2·dim(θ)` ±h points of the accepted point). Returns
+    /// `(seconds, solver_seconds)`.
     pub fn time_one_iteration(&self, theta: &[f64]) -> Result<(f64, f64), CoreError> {
         let t0 = Instant::now();
         let g = evaluate_gradient(self, theta)?;

@@ -54,7 +54,9 @@ pub enum CoreError {
     SparseSolver(dalia_sparse::SparseError),
     /// A model-building error (bad observations, locations outside the mesh).
     Model(dalia_model::ModelError),
-    /// The objective evaluated to a non-finite value.
+    /// The objective evaluated to a non-finite value, or θ maps to
+    /// hyperparameters outside their domain (a range, σ or τ that is not
+    /// finite and positive, or a non-finite λ).
     NonFiniteObjective,
     /// The Hessian at the mode could not be inverted.
     HessianNotPositiveDefinite,
@@ -72,7 +74,9 @@ impl std::fmt::Display for CoreError {
             CoreError::Solver(e) => write!(f, "structured solver error: {e}"),
             CoreError::SparseSolver(e) => write!(f, "sparse solver error: {e}"),
             CoreError::Model(e) => write!(f, "model error: {e}"),
-            CoreError::NonFiniteObjective => write!(f, "objective evaluated to a non-finite value"),
+            CoreError::NonFiniteObjective => {
+                write!(f, "objective evaluated to a non-finite value or θ left its domain")
+            }
             CoreError::HessianNotPositiveDefinite => {
                 write!(f, "negative Hessian at the mode is not positive definite")
             }

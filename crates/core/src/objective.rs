@@ -293,6 +293,17 @@ pub fn evaluate_fobj_with_inner(
     inner: InnerSettings,
 ) -> Result<FobjResult, CoreError> {
     let hyper = ModelHyper::from_theta(solver.model().dims.nv, theta);
+    // A θ far out on the log scale under- or overflows a range, σ or τ (σ = 0
+    // makes Λ singular): reject it as a failed evaluation before assembly.
+    let positive = |v: &f64| v.is_finite() && *v > 0.0;
+    let in_domain = hyper.range_s.iter().all(positive)
+        && hyper.range_t.iter().all(positive)
+        && hyper.sigmas.iter().all(positive)
+        && hyper.noise_prec.iter().all(positive)
+        && hyper.lambdas.iter().all(|l| l.is_finite());
+    if !in_domain {
+        return Err(CoreError::NonFiniteObjective);
+    }
     let logprior = prior.log_density(theta);
 
     solver.reset_timers();
@@ -438,6 +449,23 @@ mod tests {
         assert!(r.value.is_finite());
         assert!(r.solver_seconds() > 0.0);
         assert!(r.assembly_seconds() > 0.0);
+    }
+
+    #[test]
+    fn degenerate_theta_is_an_error_not_a_panic() {
+        // θ = [log ρ_s, log ρ_t, log σ, log τ]: σ = exp(−800) underflows to 0
+        // (a singular Λ), exp(800) overflows to ∞, and a NaN stays NaN.
+        let (model, prior, theta) = toy_model(1);
+        let session = InlaEngine::builder(&model).prior(prior).build().unwrap();
+        for log_sigma in [-800.0, 800.0, f64::NAN] {
+            let mut bad = theta.clone();
+            bad[2] = log_sigma;
+            assert!(
+                matches!(session.evaluate(&bad), Err(CoreError::NonFiniteObjective)),
+                "log σ = {log_sigma} evaluated"
+            );
+        }
+        assert!(session.evaluate(&theta).is_ok());
     }
 
     #[test]

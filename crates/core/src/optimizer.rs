@@ -3,15 +3,21 @@
 //!
 //! All objective evaluations go through an [`InlaSession`], whose pooled
 //! stateful solvers amortize assembly workspaces and symbolic analysis across
-//! the `2·dim(θ) + 1` evaluations of every gradient and the dozens of
-//! gradients of a BFGS run.
+//! every evaluation of a BFGS run.
+//!
+//! A BFGS iteration costs what it reads: each backtracking line-search trial
+//! is one objective evaluation, and only the accepted point gets the `2·dim(θ)`
+//! ±h evaluations of its central-difference gradient — one S1 fan-out per
+//! iteration, reusing the accepted trial as the central point. The last
+//! budgeted iteration skips even that fan-out, since no later iteration reads
+//! its gradient.
 //!
 //! The S1 fan-out (`par_iter` over the evaluation points) executes on the
-//! work-stealing pool (`dalia-pool`): lanes have non-uniform costs — line
-//! searches and ±h shifts hit different factorization difficulty — so idle
-//! workers steal queued lanes instead of waiting on a fixed chunk. Lane
-//! placement never changes results: the `session_reuse` suite pins parallel
-//! and sequential gradients to be bitwise-identical.
+//! work-stealing pool (`dalia-pool`): lanes have non-uniform costs — ±h
+//! shifts hit different factorization difficulty — so idle workers steal
+//! queued lanes instead of waiting on a fixed chunk. Lane placement never
+//! changes results: the `session_reuse` suite pins parallel and sequential
+//! gradients to be bitwise-identical.
 
 use crate::engine::InlaSession;
 use crate::objective::FobjResult;
@@ -42,16 +48,47 @@ impl GradientResult {
     }
 }
 
+/// Evaluate the objective at every point, in parallel when
+/// `settings.parallel_feval` is set (the S1 layer, one pooled solver per
+/// concurrent lane), and return in point order what `keep` takes from each
+/// evaluation — so a caller that reads only values holds no latent means.
+fn evaluate_all<T: Send>(
+    session: &InlaSession,
+    points: &[Vec<f64>],
+    keep: impl Fn(FobjResult) -> T + Sync,
+) -> Vec<Result<T, CoreError>> {
+    let evaluate = |p: &Vec<f64>| session.evaluate(p).map(&keep);
+    if session.settings().parallel_feval {
+        points.par_iter().map(evaluate).collect()
+    } else {
+        points.iter().map(evaluate).collect()
+    }
+}
+
 /// Evaluate `f_obj` and its central-difference gradient (Eq. 10). When
 /// `settings.parallel_feval` is set, the `2·dim(θ) + 1` evaluations run in
 /// parallel — this is the S1 layer of the paper, with one pooled solver per
 /// concurrent lane.
 pub fn evaluate_gradient(session: &InlaSession, theta: &[f64]) -> Result<GradientResult, CoreError> {
+    central_difference(session, theta, None)
+}
+
+/// The central-difference gradient at `theta`. `central` is an evaluation
+/// already made at `theta`; without one, the central point joins the ±h
+/// points in the same fan-out.
+fn central_difference(
+    session: &InlaSession,
+    theta: &[f64],
+    central: Option<FobjResult>,
+) -> Result<GradientResult, CoreError> {
     let dim = theta.len();
     let h = session.settings().fd_step;
-    // Build the list of evaluation points: central, then ±h per component.
+    // Build the list of evaluation points: central if needed, then ±h per
+    // component.
     let mut points: Vec<Vec<f64>> = Vec::with_capacity(2 * dim + 1);
-    points.push(theta.to_vec());
+    if central.is_none() {
+        points.push(theta.to_vec());
+    }
     for i in 0..dim {
         let mut plus = theta.to_vec();
         plus[i] += h;
@@ -61,15 +98,11 @@ pub fn evaluate_gradient(session: &InlaSession, theta: &[f64]) -> Result<Gradien
         points.push(minus);
     }
 
-    let evaluate = |p: &Vec<f64>| session.evaluate(p);
-    let results: Vec<Result<FobjResult, CoreError>> = if session.settings().parallel_feval {
-        points.par_iter().map(evaluate).collect()
-    } else {
-        points.iter().map(evaluate).collect()
+    let mut iter = evaluate_all(session, &points, |r| r).into_iter();
+    let central = match central {
+        Some(c) => c,
+        None => iter.next().unwrap()?,
     };
-
-    let mut iter = results.into_iter();
-    let central = iter.next().unwrap()?;
     let mut gradient = vec![0.0; dim];
     let mut timers = central.timers;
     let mut collected: Vec<FobjResult> = Vec::with_capacity(2 * dim);
@@ -105,7 +138,9 @@ pub struct IterationRecord {
     pub step: f64,
     /// Wall-clock seconds of this iteration.
     pub seconds: f64,
-    /// Solver seconds of this iteration.
+    /// Solver seconds of this iteration's evaluations: every successful
+    /// line-search trial, plus the accepted point's ±h gradient points when
+    /// they were evaluated (0 for an iteration that converged on entry).
     pub solver_seconds: f64,
 }
 
@@ -124,6 +159,59 @@ pub struct OptimizationResult {
     pub converged: bool,
 }
 
+/// A point the line search accepted.
+struct Accepted {
+    theta: Vec<f64>,
+    central: FobjResult,
+    /// Its gradient; `None` on the last budgeted iteration, which no later
+    /// iteration reads.
+    gradient: Option<Vec<f64>>,
+}
+
+/// Backtracking line search from `theta` (value `f`) along `direction`: steps
+/// `1, ½, …, 2⁻¹¹`, each one objective evaluation, until one improves on `f`
+/// and — when `with_gradient` is set — the ±h points of its gradient all
+/// evaluate. An `Err` at a trial or at its ±h points rejects the trial.
+/// Returns the accepted point and step (step 0 when none was accepted), with
+/// the phase timings of every successful evaluation made.
+fn line_search(
+    session: &InlaSession,
+    theta: &[f64],
+    f: f64,
+    direction: &[f64],
+    with_gradient: bool,
+) -> (Option<Accepted>, f64, PhaseTimers) {
+    let mut timers = PhaseTimers::default();
+    let mut step = 1.0;
+    for _ in 0..12 {
+        let candidate: Vec<f64> =
+            theta.iter().zip(direction).map(|(t, d)| t + step * d).collect();
+        match session.evaluate(&candidate) {
+            Ok(trial) if trial.value > f + 1e-10 => {
+                let trial_timers = trial.timers;
+                let point = if with_gradient {
+                    central_difference(session, &candidate, Some(trial))
+                        .map(|g| (g.central, Some(g.gradient), g.timers))
+                } else {
+                    Ok((trial, None, trial_timers))
+                };
+                match point {
+                    Ok((central, gradient, point_timers)) => {
+                        timers.merge(&point_timers);
+                        let accepted = Accepted { theta: candidate, central, gradient };
+                        return (Some(accepted), step, timers);
+                    }
+                    Err(_) => timers.merge(&trial_timers),
+                }
+            }
+            Ok(trial) => timers.merge(&trial.timers),
+            Err(_) => {}
+        }
+        step *= 0.5;
+    }
+    (None, 0.0, timers)
+}
+
 /// Maximize `f_obj(θ)` with BFGS + backtracking line search.
 pub fn maximize_fobj(session: &InlaSession, theta0: &[f64]) -> Result<OptimizationResult, CoreError> {
     let settings = session.settings();
@@ -132,195 +220,137 @@ pub fn maximize_fobj(session: &InlaSession, theta0: &[f64]) -> Result<Optimizati
     let mut h_inv = Matrix::identity(dim);
     let mut trace = Vec::new();
 
-    let mut grad_res = evaluate_gradient(session, &theta)?;
+    let start = evaluate_gradient(session, &theta)?;
+    let mut central = start.central;
+    let mut gradient = start.gradient;
     let mut converged = false;
 
     for iter in 0..settings.max_iter {
         let t0 = std::time::Instant::now();
-        let grad_norm = blas::nrm2(&grad_res.gradient);
+        let grad_norm = blas::nrm2(&gradient);
         if grad_norm < settings.grad_tol {
             converged = true;
             trace.push(IterationRecord {
                 iter,
-                value: grad_res.value,
+                value: central.value,
                 grad_norm,
                 step: 0.0,
                 seconds: t0.elapsed().as_secs_f64(),
-                solver_seconds: grad_res.solver_seconds(),
+                solver_seconds: 0.0,
             });
             break;
         }
 
         // Ascent direction d = H⁻¹ ∇f (we are maximizing).
-        let direction = blas::matvec(&h_inv, &grad_res.gradient);
+        let direction = blas::matvec(&h_inv, &gradient);
+        let last = iter + 1 == settings.max_iter;
+        let (accepted, step, timers) =
+            line_search(session, &theta, central.value, &direction, !last);
 
-        // Backtracking line search on f_obj along `direction`.
-        let mut step = 1.0;
-        let mut accepted: Option<(Vec<f64>, GradientResult)> = None;
-        for _ in 0..12 {
-            let candidate: Vec<f64> =
-                theta.iter().zip(&direction).map(|(t, d)| t + step * d).collect();
-            match evaluate_gradient(session, &candidate) {
-                Ok(res) if res.value > grad_res.value + 1e-10 => {
-                    accepted = Some((candidate, res));
-                    break;
-                }
-                _ => {
-                    step *= 0.5;
-                }
-            }
-        }
-
-        let Some((new_theta, new_grad)) = accepted else {
+        let Some(next) = accepted else {
             // No improving step: treat the current point as (locally) optimal.
             converged = grad_norm < 10.0 * settings.grad_tol;
             trace.push(IterationRecord {
                 iter,
-                value: grad_res.value,
+                value: central.value,
                 grad_norm,
                 step: 0.0,
                 seconds: t0.elapsed().as_secs_f64(),
-                solver_seconds: grad_res.solver_seconds(),
+                solver_seconds: timers.solver_seconds(),
             });
             break;
         };
 
-        // BFGS inverse-Hessian update (on the maximization problem, using the
-        // negative gradients so the usual minimization formulas apply).
-        let s: Vec<f64> = new_theta.iter().zip(&theta).map(|(a, b)| a - b).collect();
-        let yk: Vec<f64> = new_grad
-            .gradient
-            .iter()
-            .zip(&grad_res.gradient)
-            .map(|(a, b)| -(a - b))
-            .collect();
-        let sy = blas::dot(&s, &yk);
-        if sy > 1e-12 {
-            let rho = 1.0 / sy;
-            // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ.
-            let mut i_rho_sy = Matrix::identity(dim);
-            for r in 0..dim {
-                for c in 0..dim {
-                    i_rho_sy[(r, c)] -= rho * s[r] * yk[c];
+        if let Some(new_gradient) = next.gradient {
+            // BFGS inverse-Hessian update (on the maximization problem, using
+            // the negative gradients so the usual minimization formulas apply).
+            let s: Vec<f64> = next.theta.iter().zip(&theta).map(|(a, b)| a - b).collect();
+            let yk: Vec<f64> =
+                new_gradient.iter().zip(&gradient).map(|(a, b)| -(a - b)).collect();
+            let sy = blas::dot(&s, &yk);
+            if sy > 1e-12 {
+                let rho = 1.0 / sy;
+                // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ.
+                let mut i_rho_sy = Matrix::identity(dim);
+                for r in 0..dim {
+                    for c in 0..dim {
+                        i_rho_sy[(r, c)] -= rho * s[r] * yk[c];
+                    }
                 }
-            }
-            let left = blas::matmul(&i_rho_sy, &h_inv);
-            let mut h_new = blas::matmul(&left, &i_rho_sy.transpose());
-            for r in 0..dim {
-                for c in 0..dim {
-                    h_new[(r, c)] += rho * s[r] * s[c];
+                let left = blas::matmul(&i_rho_sy, &h_inv);
+                let mut h_new = blas::matmul(&left, &i_rho_sy.transpose());
+                for r in 0..dim {
+                    for c in 0..dim {
+                        h_new[(r, c)] += rho * s[r] * s[c];
+                    }
                 }
+                h_inv = h_new;
             }
-            h_inv = h_new;
+            gradient = new_gradient;
         }
 
         trace.push(IterationRecord {
             iter,
-            value: new_grad.value,
+            value: next.central.value,
             grad_norm,
             step,
             seconds: t0.elapsed().as_secs_f64(),
-            solver_seconds: new_grad.solver_seconds(),
+            solver_seconds: timers.solver_seconds(),
         });
-        theta = new_theta;
-        grad_res = new_grad;
+        theta = next.theta;
+        central = next.central;
     }
 
-    Ok(OptimizationResult {
-        theta,
-        value: grad_res.value,
-        central: grad_res.central,
-        trace,
-        converged,
-    })
+    Ok(OptimizationResult { theta, value: central.value, central, trace, converged })
 }
 
 /// Negative Hessian of `f_obj` at `theta` via second-order central differences
 /// (used for the Gaussian approximation of the hyperparameter posterior).
+///
+/// All `1 + 2·dim + dim·(dim−1)` points — θ, θ ± h eᵢ and θ ± h (eᵢ + eⱼ) for
+/// i < j — are evaluated in one S1 fan-out.
 pub fn negative_hessian(session: &InlaSession, theta: &[f64]) -> Result<Matrix, CoreError> {
-    let settings = session.settings();
     let dim = theta.len();
-    let h = settings.fd_step.max(1e-4) * 5.0;
-    let f0 = session.objective(theta)?;
-
-    // All shifted evaluation points (±h e_i, ±h e_i ± h e_j).
-    let eval = |p: &[f64]| -> Result<f64, CoreError> { session.objective(p) };
-
-    // Diagonal terms.
-    let diag_points: Vec<(usize, Vec<f64>, Vec<f64>)> = (0..dim)
-        .map(|i| {
-            let mut p = theta.to_vec();
-            let mut m = theta.to_vec();
-            p[i] += h;
-            m[i] -= h;
-            (i, p, m)
-        })
-        .collect();
-    let diag_results: Vec<Result<(usize, f64, f64), CoreError>> = if settings.parallel_feval {
-        diag_points
-            .par_iter()
-            .map(|(i, p, m)| Ok((*i, eval(p)?, eval(m)?)))
-            .collect()
-    } else {
-        diag_points.iter().map(|(i, p, m)| Ok((*i, eval(p)?, eval(m)?))).collect()
+    let h = session.settings().fd_step.max(1e-4) * 5.0;
+    let shifted = |shifts: &[(usize, f64)]| {
+        let mut p = theta.to_vec();
+        for &(i, d) in shifts {
+            p[i] += d;
+        }
+        p
     };
-
-    let mut f_plus = vec![0.0; dim];
-    let mut f_minus = vec![0.0; dim];
-    let mut hess = Matrix::zeros(dim, dim);
-    for r in diag_results {
-        let (i, fp, fm) = r?;
-        f_plus[i] = fp;
-        f_minus[i] = fm;
-        hess[(i, i)] = -((fp - 2.0 * f0 + fm) / (h * h));
+    let mut points = vec![theta.to_vec()];
+    for i in 0..dim {
+        points.push(shifted(&[(i, h)]));
+        points.push(shifted(&[(i, -h)]));
     }
-
-    // Off-diagonal terms.
-    let mut pairs = Vec::new();
     for i in 0..dim {
         for j in (i + 1)..dim {
-            pairs.push((i, j));
+            points.push(shifted(&[(i, h), (j, h)]));
+            points.push(shifted(&[(i, -h), (j, -h)]));
         }
     }
-    let off_results: Vec<Result<(usize, usize, f64), CoreError>> = if settings.parallel_feval {
-        pairs
-            .par_iter()
-            .map(|&(i, j)| {
-                let mut pp = theta.to_vec();
-                pp[i] += h;
-                pp[j] += h;
-                let mut mm = theta.to_vec();
-                mm[i] -= h;
-                mm[j] -= h;
-                let fpp = eval(&pp)?;
-                let fmm = eval(&mm)?;
-                let val = (fpp - f_plus[i] - f_plus[j] + 2.0 * f0 - f_minus[i] - f_minus[j] + fmm)
-                    / (2.0 * h * h);
-                Ok((i, j, -val))
-            })
-            .collect()
-    } else {
-        pairs
-            .iter()
-            .map(|&(i, j)| {
-                let mut pp = theta.to_vec();
-                pp[i] += h;
-                pp[j] += h;
-                let mut mm = theta.to_vec();
-                mm[i] -= h;
-                mm[j] -= h;
-                let fpp = eval(&pp)?;
-                let fmm = eval(&mm)?;
-                let val = (fpp - f_plus[i] - f_plus[j] + 2.0 * f0 - f_minus[i] - f_minus[j] + fmm)
-                    / (2.0 * h * h);
-                Ok((i, j, -val))
-            })
-            .collect()
-    };
-    for r in off_results {
-        let (i, j, v) = r?;
-        hess[(i, j)] = v;
-        hess[(j, i)] = v;
+    let f = evaluate_all(session, &points, |r| r.value)
+        .into_iter()
+        .collect::<Result<Vec<f64>, CoreError>>()?;
+
+    let f0 = f[0];
+    let f_plus = |i: usize| f[1 + 2 * i];
+    let f_minus = |i: usize| f[2 + 2 * i];
+    let mut hess = Matrix::zeros(dim, dim);
+    for i in 0..dim {
+        hess[(i, i)] = -((f_plus(i) - 2.0 * f0 + f_minus(i)) / (h * h));
+    }
+    let mut pair = 1 + 2 * dim;
+    for i in 0..dim {
+        for j in (i + 1)..dim {
+            let (fpp, fmm) = (f[pair], f[pair + 1]);
+            pair += 2;
+            let val = (fpp - f_plus(i) - f_plus(j) + 2.0 * f0 - f_minus(i) - f_minus(j) + fmm)
+                / (2.0 * h * h);
+            hess[(i, j)] = -val;
+            hess[(j, i)] = -val;
+        }
     }
     Ok(hess)
 }
@@ -412,6 +442,70 @@ mod tests {
         let result = maximize_fobj(&s, &start).unwrap();
         assert!(result.value >= f_start, "BFGS decreased the objective");
         assert!(!result.trace.is_empty());
+    }
+
+    #[test]
+    fn iteration_records_count_every_evaluation_of_the_iteration() {
+        let (model, prior, theta) = toy();
+        let mut start = theta.clone();
+        start[0] -= 0.8;
+        start[3] += 0.8;
+        let mut settings = InlaSettings::dalia(1);
+        settings.max_iter = 3;
+        let s = session(&model, &prior, settings);
+        let result = s.run(&start).unwrap();
+        assert!(!result.trace.is_empty());
+        for rec in &result.trace {
+            assert!(rec.solver_seconds > 0.0, "iteration {} reports no solver time", rec.iter);
+        }
+        // The run's total also holds the start gradient, the Hessian and the
+        // latent marginals.
+        let sum: f64 = result.trace.iter().map(|r| r.solver_seconds).sum();
+        let total = result.timers.solver_seconds();
+        assert!(sum <= total, "records sum to {sum} s, the run to {total} s");
+    }
+
+    #[test]
+    fn hessian_is_one_schedule_independent_fan_out() {
+        let (model, prior, theta) = toy();
+        let h = InlaSettings::dalia(1).fd_step.max(1e-4) * 5.0;
+        let mut hessians = Vec::new();
+        for parallel in [true, false] {
+            let mut settings = InlaSettings::dalia(1);
+            settings.parallel_feval = parallel;
+            let s = session(&model, &prior, settings);
+            let hess = negative_hessian(&s, &theta).unwrap();
+
+            // Second-order central differences, one objective call at a time.
+            let f = |shift: &[(usize, f64)]| {
+                let mut p = theta.clone();
+                for &(i, d) in shift {
+                    p[i] += d;
+                }
+                s.objective(&p).unwrap()
+            };
+            let f0 = f(&[]);
+            let dim = theta.len();
+            for i in 0..dim {
+                let (fp, fm) = (f(&[(i, h)]), f(&[(i, -h)]));
+                let want = -((fp - 2.0 * f0 + fm) / (h * h));
+                assert_eq!(hess[(i, i)].to_bits(), want.to_bits(), "H[{i},{i}]");
+                for j in (i + 1)..dim {
+                    let (fpj, fmj) = (f(&[(j, h)]), f(&[(j, -h)]));
+                    let (fpp, fmm) = (f(&[(i, h), (j, h)]), f(&[(i, -h), (j, -h)]));
+                    let want = -((fpp - fp - fpj + 2.0 * f0 - fm - fmj + fmm) / (2.0 * h * h));
+                    assert_eq!(hess[(i, j)].to_bits(), want.to_bits(), "H[{i},{j}]");
+                    assert_eq!(hess[(j, i)].to_bits(), want.to_bits(), "H[{j},{i}]");
+                }
+            }
+            hessians.push(hess);
+        }
+        let (par, seq) = (&hessians[0], &hessians[1]);
+        for i in 0..par.nrows() {
+            for j in 0..par.ncols() {
+                assert_eq!(par[(i, j)].to_bits(), seq[(i, j)].to_bits(), "H[{i},{j}]");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,6 @@ fn main() {
     println!();
     println!("DALIA-RS implements all three configurations as engine presets:");
     println!("  InlaSettings::rinla_like()   -> general sparse Cholesky, shared-memory S1 only");
-    println!("  InlaSettings::inladist_like()-> sequential BTA solver, S1 + S2");
-    println!("  InlaSettings::dalia(P)       -> distributed BTA solver, S1 + S2 + S3(P)");
+    println!("  InlaSettings::inladist_like()-> sequential BTA solver, S1 only");
+    println!("  InlaSettings::dalia(P)       -> distributed BTA solver, S1 + S3(P)");
 }

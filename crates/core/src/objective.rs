@@ -10,9 +10,12 @@
 //! where `x*` maximizes the conditional log-posterior
 //! `ψ(x) = −½ xᵀ Q_p x + Σ_i ℓ_i(η_i)`, `η = A x`. For the Gaussian
 //! likelihood ψ is quadratic, the Laplace approximation is exact, and a single
-//! Newton step `Q_c x* = Aᵀ D y` lands on the mode — one evaluation costs two
-//! structured factorizations (`Q_p`, `Q_c`) plus one triangular solve, exactly
-//! the bottleneck profile the paper describes. Non-Gaussian families
+//! Newton step `Q_c x* = Aᵀ D y` lands on the mode — one evaluation costs one
+//! structured factorization of `Q_c`, `log|Q_p|` and one triangular solve.
+//! The paper counts two full-size factorizations (`Q_p`, `Q_c`); the BTA
+//! backend takes `log|Q_p|` from the `nv` per-process prior precisions
+//! instead, at about a ninth of the joint factor's flops for `nv = 3` (see
+//! `docs/performance.md`). Non-Gaussian families
 //! ([`conditional_mode`]) iterate the same step with working weights
 //! `W(η) = −diag(ℓ″)` and working right-hand side `Aᵀ(Wη + g)`; only the
 //! diagonal perturbation `AᵀWA` of `Q_c` changes between iterations, so each

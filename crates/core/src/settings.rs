@@ -32,8 +32,6 @@ pub struct InlaSettings {
     pub backend: SolverBackend,
     /// Evaluate the central-difference gradient components in parallel (S1).
     pub parallel_feval: bool,
-    /// Factorize `Q_p` and `Q_c` concurrently inside one evaluation (S2).
-    pub parallel_pc: bool,
     /// Maximum number of BFGS iterations.
     pub max_iter: usize,
     /// Convergence tolerance on the gradient norm.
@@ -49,13 +47,13 @@ pub struct InlaSettings {
 }
 
 impl InlaSettings {
-    /// DALIA preset: structured solver, all three parallel layers.
+    /// DALIA preset: structured solver with `partitions` time-domain
+    /// partitions (S3) under the parallel gradient fan-out (S1).
     pub fn dalia(partitions: usize) -> Self {
         Self {
             name: format!("DALIA (S3={partitions})"),
             backend: SolverBackend::Bta { partitions, load_balance: 1.6 },
             parallel_feval: true,
-            parallel_pc: true,
             max_iter: 50,
             grad_tol: 1e-3,
             fd_step: 1e-3,
@@ -64,13 +62,12 @@ impl InlaSettings {
         }
     }
 
-    /// INLA_DIST-like preset: sequential BTA solver, S1 + S2 only.
+    /// INLA_DIST-like preset: sequential BTA solver, S1 only.
     pub fn inladist_like() -> Self {
         Self {
             name: "INLA_DIST-like".to_string(),
             backend: SolverBackend::Bta { partitions: 1, load_balance: 1.0 },
             parallel_feval: true,
-            parallel_pc: true,
             max_iter: 50,
             grad_tol: 1e-3,
             fd_step: 1e-3,
@@ -86,7 +83,6 @@ impl InlaSettings {
             name: "R-INLA-like".to_string(),
             backend: SolverBackend::SparseGeneral,
             parallel_feval: true,
-            parallel_pc: false,
             max_iter: 50,
             grad_tol: 1e-3,
             fd_step: 1e-3,
@@ -171,7 +167,7 @@ mod tests {
     fn presets_reflect_table1() {
         let dalia = InlaSettings::dalia(4);
         assert_eq!(dalia.partitions(), 4);
-        assert!(dalia.parallel_feval && dalia.parallel_pc);
+        assert!(dalia.parallel_feval);
 
         let inladist = InlaSettings::inladist_like();
         assert_eq!(inladist.partitions(), 1);
@@ -179,7 +175,6 @@ mod tests {
 
         let rinla = InlaSettings::rinla_like();
         assert!(matches!(rinla.backend, SolverBackend::SparseGeneral));
-        assert!(!rinla.parallel_pc);
     }
 
     #[test]

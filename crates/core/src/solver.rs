@@ -4,7 +4,13 @@
 //!
 //! The paper's bottleneck profile is "two structured factorizations + one
 //! solve per objective evaluation", repeated dozens-to-hundreds of times by a
-//! BFGS run. Everything that depends only on the model *structure* — the
+//! BFGS run. The BTA backend needs only one of them at full size: it
+//! factorizes `Q_c`, and takes `log |Q_p|` from the `nv` per-process
+//! precisions (`n_t` blocks of size `n_s` each) plus a closed form in σ and
+//! the fixed-effect prior — see
+//! [`CoregionalModel::assemble_process_precision_into`]. The sparse backend
+//! still factorizes the joint `Q_p`, which makes it the independent check of
+//! that identity. Everything that depends only on the model *structure* — the
 //! time-domain [`Partitioning`], the block-dense BTA storage, the sparse
 //! symbolic analysis (elimination tree + factor pattern) — is computed once
 //! per [`LatentSolver`] and reused for every θ, the same separation
@@ -54,7 +60,9 @@ use std::time::Instant;
 pub struct PhaseTimers {
     /// Matrix / design assembly (`Q_p`, `Q_c`, `Λ·A`).
     pub assembly_seconds: f64,
-    /// Numeric factorizations of `Q_p` and `Q_c`.
+    /// Numeric factorizations: `Q_c`, and what `log |Q_p|` takes (the
+    /// per-process prior precisions on the BTA backend, the joint `Q_p` on
+    /// the sparse one).
     pub factorize_seconds: f64,
     /// Triangular solves for the conditional mean.
     pub solve_seconds: f64,
@@ -121,14 +129,14 @@ pub trait LatentSolver: Send + Sync {
     /// The model this solver was built for.
     fn model(&self) -> &CoregionalModel;
 
-    /// Assemble `Q_p(θ)` and `Q_c(θ)` into the reusable workspaces and
-    /// factorize both.
+    /// Assemble `Q_p(θ)` and `Q_c(θ)` into the reusable workspaces, factorize
+    /// `Q_c` and compute `log |Q_p|`.
     fn factorize(&mut self, hyper: &ModelHyper) -> Result<(), CoreError>;
 
-    /// Like [`factorize`](Self::factorize) but skips the numeric factorization
-    /// of `Q_p` (posterior extraction only needs `Q_c`). After this call
-    /// [`logdet_qp`](Self::logdet_qp) is unavailable until the next full
-    /// `factorize`; everything else refers to the given `hyper`.
+    /// Like [`factorize`](Self::factorize) but skips `log |Q_p|` and the
+    /// factorizations behind it (posterior extraction only needs `Q_c`).
+    /// After this call [`logdet_qp`](Self::logdet_qp) is unavailable until
+    /// the next full `factorize`; everything else refers to the given `hyper`.
     fn factorize_conditional(&mut self, hyper: &ModelHyper) -> Result<(), CoreError> {
         self.factorize(hyper)
     }
@@ -142,7 +150,7 @@ pub trait LatentSolver: Send + Sync {
     /// term, so the already-assembled `Q_p`, the design matrix and the warm
     /// factor storage of the last `factorize`/`factorize_conditional` (which
     /// must precede this call, at the same hyperparameters) are all reused;
-    /// neither `Q_p` nor its factorization is touched.
+    /// neither `Q_p` nor `log |Q_p|` is touched.
     fn refactorize_conditional(&mut self, weights: &[f64]) -> Result<(), CoreError>;
 
     /// Advance this solver to `model`, whose temporal window **grew** by
@@ -277,12 +285,21 @@ impl SolverBackend {
 }
 
 /// Shared BTA workspace: assembled `Q_p` / `Q_c` block storage (re-filled in
-/// place per θ), the panel-packing scratch of the blocked dense kernels, and
-/// the design matrix of the last assembly.
+/// place per θ), the per-process prior precision and its factor, the
+/// panel-packing scratch of the blocked dense kernels, and the design matrix
+/// of the last assembly.
 struct BtaWorkspace {
     model: Arc<CoregionalModel>,
     qp: BtaMatrix,
     qc: BtaMatrix,
+    /// One process precision `Q_i` (`nt` blocks of size `ns`, no arrow),
+    /// allocated by the first
+    /// [`factorize_processes`](Self::factorize_processes) and re-filled for
+    /// each process in turn.
+    process: Option<BtaMatrix>,
+    /// Factor storage of the last process factorization, recycled for the
+    /// next.
+    process_factor: Option<BtaCholesky>,
     pack: PackBuffer,
     design: Option<CsrMatrix>,
     /// `Aᵀ W A` of the last assembly or re-weighting, kept so every θ
@@ -297,6 +314,8 @@ impl BtaWorkspace {
         Self {
             qp: BtaMatrix::zeros(d.nt, d.block_size(), d.arrow_size()),
             qc: BtaMatrix::zeros(d.nt, d.block_size(), d.arrow_size()),
+            process: None,
+            process_factor: None,
             pack: PackBuffer::new(),
             design: None,
             congruence: CsrMatrix::zeros(0, 0),
@@ -308,8 +327,8 @@ impl BtaWorkspace {
     /// Swap in a model whose temporal window differs from the current one but
     /// whose block structure (mesh, `nv`, `nr`) matches, resizing the `qp` /
     /// `qc` block storage to the new number of time steps in place. The cached
-    /// design is cleared; the next [`assemble`](Self::assemble) refills
-    /// everything for the new window.
+    /// design and the process storage are cleared; the next
+    /// [`assemble`](Self::assemble) refills everything for the new window.
     fn set_window_model(&mut self, model: Arc<CoregionalModel>) {
         let d = model.dims;
         assert_eq!(
@@ -319,6 +338,8 @@ impl BtaWorkspace {
         );
         resize_window(&mut self.qp, d.nt);
         resize_window(&mut self.qc, d.nt);
+        self.process = None;
+        self.process_factor = None;
         self.design = None;
         self.model = model;
     }
@@ -331,6 +352,29 @@ impl BtaWorkspace {
         let design = self.model.extend_qp_to_qc(hyper, &mut self.qc, &mut self.congruence);
         self.timers.assembly_seconds += t0.elapsed().as_secs_f64();
         self.design = Some(design);
+    }
+
+    /// `log |Q_p(θ)|` without factorizing `Q_p`: assemble and factorize the
+    /// `nv` process precisions one after another in the kept storage and add
+    /// the closed-form remainder (see
+    /// [`CoregionalModel::assemble_process_precision_into`]). Records
+    /// assembly and factorization time.
+    fn factorize_processes(&mut self, hyper: &ModelHyper) -> Result<f64, CoreError> {
+        let d = self.model.dims;
+        let process = self.process.get_or_insert_with(|| BtaMatrix::zeros(d.nt, d.ns, 0));
+        let mut logdet = 0.0;
+        for i in 0..d.nv {
+            let t0 = Instant::now();
+            self.model.assemble_process_precision_into(hyper, i, process);
+            let t1 = Instant::now();
+            self.timers.assembly_seconds += (t1 - t0).as_secs_f64();
+            let storage = self.process_factor.take().map(|f| f.blocks);
+            let f = pobtaf_with(process, storage, &mut self.pack).map_err(CoreError::Solver)?;
+            logdet += f.logdet().map_err(CoreError::Solver)?;
+            self.process_factor = Some(f);
+            self.timers.factorize_seconds += t1.elapsed().as_secs_f64();
+        }
+        Ok(logdet + self.model.qp_logdet_remainder(hyper))
     }
 
     fn design(&self) -> &CsrMatrix {
@@ -398,8 +442,11 @@ fn factor_bta(
 /// `d_pobtaf`/`d_pobtas`/`d_pobtasi` forms): one nested-dissection solver
 /// whose single-partition case is the sequential DALIA / INLA_DIST path. The
 /// load-balanced time-domain [`Partitioning`] is derived once at construction
-/// and reused for every factorization; window updates rebuild it for the new
-/// number of time steps.
+/// and reused for every factorization of `Q_c`; window updates rebuild it for
+/// the new number of time steps. The joint `Q_p` is never factorized:
+/// `log |Q_p|` comes from the per-process precisions, factorized one after
+/// another with `pobtaf_with` at every partition count
+/// ([`BtaWorkspace::factorize_processes`]).
 ///
 /// [`extend_window`](LatentSolver::extend_window) /
 /// [`retire_window`](LatentSolver::retire_window) advance the conditional
@@ -418,7 +465,9 @@ struct BtaSolver {
     partitions: usize,
     load_balance: f64,
     stream: StreamPacks,
-    fp: Option<DistBtaCholesky>,
+    /// `log |Q_p|` of the last full [`factorize`](LatentSolver::factorize);
+    /// `None` after a conditional-only factorization or a window update.
+    logdet_qp: Option<f64>,
     fc: Option<DistBtaCholesky>,
 }
 
@@ -433,7 +482,7 @@ impl BtaSolver {
             partitions,
             load_balance,
             stream: StreamPacks::new(),
-            fp: None,
+            logdet_qp: None,
             fc: None,
         }
     }
@@ -454,7 +503,7 @@ impl BtaSolver {
     ) -> Result<(), CoreError> {
         let fc =
             self.fc.take().expect("LatentSolver: factorize must be called before a window update");
-        self.fp = None;
+        self.logdet_qp = None;
         self.part = Partitioning::load_balanced(
             model.dims.nt,
             self.partitions.clamp(1, model.dims.nt),
@@ -498,17 +547,21 @@ impl LatentSolver for BtaSolver {
 
     fn factorize(&mut self, hyper: &ModelHyper) -> Result<(), CoreError> {
         self.ws.assemble(hyper);
+        // Cleared first: a failed factorization must not leave the previous
+        // θ's value readable.
+        self.logdet_qp = None;
+        let logdet_qp = self.ws.factorize_processes(hyper)?;
         let t0 = Instant::now();
-        self.fp = Some(factor_bta(&self.ws.qp, &self.part, self.fp.take(), &mut self.ws.pack)?);
         self.fc = Some(factor_bta(&self.ws.qc, &self.part, self.fc.take(), &mut self.ws.pack)?);
         self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
+        self.logdet_qp = Some(logdet_qp);
         Ok(())
     }
 
     fn factorize_conditional(&mut self, hyper: &ModelHyper) -> Result<(), CoreError> {
         self.ws.assemble(hyper);
         let t0 = Instant::now();
-        self.fp = None;
+        self.logdet_qp = None;
         self.fc = Some(factor_bta(&self.ws.qc, &self.part, self.fc.take(), &mut self.ws.pack)?);
         self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
         Ok(())
@@ -555,11 +608,7 @@ impl LatentSolver for BtaSolver {
     }
 
     fn logdet_qp(&self) -> f64 {
-        self.fp
-            .as_ref()
-            .expect("LatentSolver: factorize must be called first")
-            .logdet()
-            .expect("factor diagonal validated at factorization")
+        self.logdet_qp.expect("LatentSolver: factorize must be called first")
     }
 
     fn logdet_qc(&self) -> f64 {
@@ -1161,11 +1210,15 @@ mod tests {
         let (old, new) = stream_models(1, 4, 6);
         let mut solver = BtaSolver::new(old, 3, 1.3);
         solver.factorize(&hyper).unwrap();
-        assert!(is_partitioned(&solver.fp) && is_partitioned(&solver.fc));
+        assert!(solver.logdet_qp.is_some() && is_partitioned(&solver.fc));
         solver.extend_window(new, &hyper).unwrap();
-        assert!(solver.fp.is_none());
+        assert!(solver.logdet_qp.is_none());
         assert!(matches!(solver.fc, Some(DistBtaCholesky::Sequential(_))));
         assert_eq!(solver.part.num_blocks(), 6, "partitioning follows the new window");
+        assert!(
+            solver.ws.process.is_none() && solver.ws.process_factor.is_none(),
+            "process storage sized for the old window is dropped"
+        );
         solver.factorize_conditional(&hyper).unwrap();
         assert!(is_partitioned(&solver.fc));
     }
@@ -1181,10 +1234,15 @@ mod tests {
             Some(DistBtaCholesky::Sequential(f)) => f.blocks.diag[0].as_slice().as_ptr(),
             _ => panic!("one partition must hold a sequential factor"),
         };
+        let process_ptrs = |s: &BtaSolver| {
+            let f = s.ws.process_factor.as_ref().expect("factorize keeps a process factor");
+            let q = s.ws.process.as_ref().expect("factorize keeps a process precision");
+            (q.diag[0].as_slice().as_ptr(), f.blocks.diag[0].as_slice().as_ptr())
+        };
         solver.factorize(&hyper).unwrap();
-        let (p0, c0) = (diag_ptr(&solver.fp), diag_ptr(&solver.fc));
+        let (p0, c0) = (process_ptrs(&solver), diag_ptr(&solver.fc));
         solver.factorize(&hyper2).unwrap();
-        assert_eq!(diag_ptr(&solver.fp), p0, "Q_p factor storage must be recycled");
+        assert_eq!(process_ptrs(&solver), p0, "process storage must be recycled");
         assert_eq!(diag_ptr(&solver.fc), c0, "Q_c factor storage must be recycled");
         solver.factorize_conditional(&hyper).unwrap();
         assert_eq!(diag_ptr(&solver.fc), c0, "conditional refactorization must recycle too");
@@ -1213,6 +1271,21 @@ mod tests {
             let part = Partitioning::load_balanced(6, partitions, 1.0);
             let err = factor_bta(&m, &part, None, &mut PackBuffer::new());
             assert!(matches!(err, Err(CoreError::Solver(_))), "P={partitions}");
+        }
+    }
+
+    #[test]
+    fn a_process_factor_that_is_not_spd_is_a_solver_error() {
+        // A spatial range this small overflows γ_s² and leaves NaN in the
+        // process coefficients; the process factorization rejects them
+        // before Q_c is factorized.
+        let (model, mut hyper) = toy_model(2);
+        hyper.range_s[1] = 1e-200;
+        for partitions in [1, 3] {
+            let mut solver = BtaSolver::new(model.clone(), partitions, 1.3);
+            let err = solver.factorize(&hyper);
+            assert!(matches!(err, Err(CoreError::Solver(_))), "P={partitions}: {err:?}");
+            assert!(solver.logdet_qp.is_none() && solver.fc.is_none(), "P={partitions}");
         }
     }
 

@@ -13,7 +13,10 @@
 //! The joint precision (Eq. 11) is assembled directly in the *permuted*
 //! time-major ordering (Fig. 2c), either into the block-dense BTA workspace of
 //! the structured solver (the DALIA path) or into a general CSR matrix (the
-//! R-INLA baseline path).
+//! R-INLA baseline path). Each process's own unit-variance precision can also
+//! be assembled alone, which is how the structured solver obtains `log|Q_p|`
+//! without factorizing the joint matrix
+//! ([`CoregionalModel::assemble_process_precision_into`]).
 
 use crate::hyper::ModelHyper;
 use crate::likelihood::Likelihood;
@@ -54,6 +57,14 @@ impl ModelDims {
     pub fn latent_dim(&self) -> usize {
         self.nv * (self.ns * self.nt + self.nr)
     }
+}
+
+/// A time-block position of a block-tridiagonal precision: the diagonal block
+/// `(t, t)` or the sub-diagonal block `(t+1, t)`.
+#[derive(Clone, Copy)]
+enum TimeBlock {
+    Diag(usize),
+    Sub(usize),
 }
 
 /// The coregional spatio-temporal latent Gaussian model.
@@ -347,50 +358,23 @@ impl CoregionalModel {
         let coefs = hyper.coregional_coefficients();
 
         for i in 0..d.nv {
-            let gamma = hyper.internal(i);
-            let q1 = self.spde.spatial.q1(gamma.gamma_s);
-            let q2 = self.spde.spatial.q2(gamma.gamma_s);
-            let q3 = self.spde.spatial.q3(gamma.gamma_s);
-            let ge2 = gamma.gamma_e * gamma.gamma_e;
-            let gt = gamma.gamma_t;
-            let temporal = &self.spde.temporal;
-
-            for t in 0..d.nt {
-                // Diagonal block coefficients of process i at time (t, t).
-                let c2 = ge2 * gt * gt * temporal.m2.get(t, t);
-                let c1 = ge2 * 2.0 * gt * temporal.m1.get(t, t);
-                let c0 = ge2 * temporal.m0.get(t, t);
+            self.for_each_process_block(hyper, i, |block, terms| {
+                let dst = match block {
+                    TimeBlock::Diag(t) => &mut bta.diag[t],
+                    TimeBlock::Sub(t) => &mut bta.sub[t],
+                };
                 for k in 0..d.nv {
                     for l in 0..d.nv {
                         let w = coefs[i][(k, l)];
                         if w == 0.0 {
                             continue;
                         }
-                        q1.add_dense_block_into(0, 0, w * c2, &mut bta.diag[t], k * d.ns, l * d.ns);
-                        q2.add_dense_block_into(0, 0, w * c1, &mut bta.diag[t], k * d.ns, l * d.ns);
-                        q3.add_dense_block_into(0, 0, w * c0, &mut bta.diag[t], k * d.ns, l * d.ns);
-                    }
-                }
-                if t + 1 < d.nt {
-                    // Sub-diagonal block at (t+1, t).
-                    let s2 = ge2 * gt * gt * temporal.m2.get(t + 1, t);
-                    let s1 = ge2 * 2.0 * gt * temporal.m1.get(t + 1, t);
-                    let s0 = ge2 * temporal.m0.get(t + 1, t);
-                    if s2 != 0.0 || s1 != 0.0 || s0 != 0.0 {
-                        for k in 0..d.nv {
-                            for l in 0..d.nv {
-                                let w = coefs[i][(k, l)];
-                                if w == 0.0 {
-                                    continue;
-                                }
-                                q1.add_dense_block_into(0, 0, w * s2, &mut bta.sub[t], k * d.ns, l * d.ns);
-                                q2.add_dense_block_into(0, 0, w * s1, &mut bta.sub[t], k * d.ns, l * d.ns);
-                                q3.add_dense_block_into(0, 0, w * s0, &mut bta.sub[t], k * d.ns, l * d.ns);
-                            }
+                        for (q, c) in terms {
+                            q.add_dense_block_into(0, 0, w * c, dst, k * d.ns, l * d.ns);
                         }
                     }
                 }
-            }
+            });
 
             // Fixed-effect prior: ε·I per process, mixed by the coregional
             // coefficients.
@@ -403,6 +387,88 @@ impl CoregionalModel {
                     for r in 0..d.nr {
                         bta.tip[(k * d.nr + r, l * d.nr + r)] += w * self.fixed_prior_prec;
                     }
+                }
+            }
+        }
+    }
+
+    /// Assemble process `i`'s unit-variance spatio-temporal precision `Q_i`
+    /// (zeroed and re-filled in place) into `bta`, which must have the block
+    /// structure `(nt, ns, 0)`: block-tridiagonal, no arrow.
+    ///
+    /// With `M = Λ⁻¹`, Eq. 11 reads
+    /// `Q_p = (M⊗I)ᵀ · blockdiag(Q̃_1 … Q̃_nv) · (M⊗I)` where
+    /// `Q̃_i = blockdiag(Q_i, ε·I_nr)`, so
+    /// `log|Q_p| = Σ_i log|Q_i| +` [`qp_logdet_remainder`](Self::qp_logdet_remainder):
+    /// the prior log-determinant follows from `nv` factorizations of size
+    /// `ns·nt` instead of one of size `nv·(ns·nt + nr)`.
+    pub fn assemble_process_precision_into(
+        &self,
+        hyper: &ModelHyper,
+        i: usize,
+        bta: &mut BtaMatrix,
+    ) {
+        let d = &self.dims;
+        assert_eq!(
+            (bta.n, bta.b, bta.a),
+            (d.nt, d.ns, 0),
+            "assemble_process_precision_into: workspace block structure mismatch"
+        );
+        bta.set_zero();
+        self.for_each_process_block(hyper, i, |block, terms| {
+            let dst = match block {
+                TimeBlock::Diag(t) => &mut bta.diag[t],
+                TimeBlock::Sub(t) => &mut bta.sub[t],
+            };
+            for (q, c) in terms {
+                q.add_dense_block_into(0, 0, c, dst, 0, 0);
+            }
+        });
+    }
+
+    /// The closed-form part of `log|Q_p|` that the process precisions of
+    /// [`assemble_process_precision_into`](Self::assemble_process_precision_into)
+    /// leave out: `nv·nr·ln ε − 2·(ns·nt + nr)·Σ_j ln σ_j`, from the
+    /// fixed-effect priors `ε·I_nr` and from `det Λ = Π_j σ_j` (Λ is unit
+    /// lower triangular times `diag(σ)`).
+    pub fn qp_logdet_remainder(&self, hyper: &ModelHyper) -> f64 {
+        let d = &self.dims;
+        let ln_sigma: f64 = hyper.sigmas.iter().map(|s| s.ln()).sum();
+        (d.nv * d.nr) as f64 * self.fixed_prior_prec.ln()
+            - 2.0 * (d.ns * d.nt + d.nr) as f64 * ln_sigma
+    }
+
+    /// Walk the non-zero time blocks of process `i`'s unit-variance
+    /// spatio-temporal precision `γ_e²(γ_t² M2 ⊗ q1 + 2γ_t M1 ⊗ q2 + M0 ⊗ q3)`,
+    /// handing `add` each block position with its three `(spatial operator,
+    /// temporal coefficient)` terms, in the order `q1, q2, q3`.
+    fn for_each_process_block(
+        &self,
+        hyper: &ModelHyper,
+        i: usize,
+        mut add: impl FnMut(TimeBlock, [(&CsrMatrix, f64); 3]),
+    ) {
+        let gamma = hyper.internal(i);
+        let q1 = self.spde.spatial.q1(gamma.gamma_s);
+        let q2 = self.spde.spatial.q2(gamma.gamma_s);
+        let q3 = self.spde.spatial.q3(gamma.gamma_s);
+        let ge2 = gamma.gamma_e * gamma.gamma_e;
+        let gt = gamma.gamma_t;
+        let temporal = &self.spde.temporal;
+        let terms = |r: usize, c: usize| {
+            [
+                (&q1, ge2 * gt * gt * temporal.m2.get(r, c)),
+                (&q2, ge2 * 2.0 * gt * temporal.m1.get(r, c)),
+                (&q3, ge2 * temporal.m0.get(r, c)),
+            ]
+        };
+        for t in 0..self.dims.nt {
+            add(TimeBlock::Diag(t), terms(t, t));
+            if t + 1 < self.dims.nt {
+                // Sub-diagonal block at (t+1, t).
+                let sub = terms(t + 1, t);
+                if sub.iter().any(|&(_, c)| c != 0.0) {
+                    add(TimeBlock::Sub(t), sub);
                 }
             }
         }
@@ -712,6 +778,25 @@ mod tests {
         model.assemble_qp_bta_into(&hyper, &mut copied);
         model.extend_qp_to_qc(&hyper, &mut copied, &mut CsrMatrix::zeros(0, 0));
         assert_eq!(copied.to_dense().max_abs_diff(&qc_fresh.to_dense()), 0.0);
+    }
+
+    #[test]
+    fn process_precision_matches_the_spde_precision() {
+        // Block-dense per-process assembly vs the Kronecker-product CSR
+        // assembly of the same unit-variance precision, into one reused
+        // workspace polluted by the previous process.
+        let (model, mut hyper) = small_model(3);
+        hyper.range_s = vec![0.5, 0.9, 1.4];
+        hyper.range_t = vec![1.5, 2.5, 4.0];
+        let d = model.dims;
+        let mut work = BtaMatrix::zeros(d.nt, d.ns, 0);
+        for i in 0..d.nv {
+            model.assemble_process_precision_into(&hyper, i, &mut work);
+            let want = model.spde.precision_internal(&hyper.internal(i)).to_dense();
+            let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let diff = work.to_dense().max_abs_diff(&want);
+            assert!(diff <= 1e-13 * scale, "process {i}: {diff} (scale {scale})");
+        }
     }
 
     #[test]

@@ -705,13 +705,13 @@ mod tests {
     #[test]
     fn session_reuses_pooled_solvers_across_evaluations() {
         let (model, theta0) = toy_model();
-        let mut settings = InlaSettings::dalia(1);
-        settings.parallel_feval = false;
-        let s = session(&model, &theta0, settings);
+        let s = session(&model, &theta0, InlaSettings::dalia(1));
         assert_eq!(s.solver_pool_size(), 1);
-        for _ in 0..3 {
-            s.objective(&theta0).unwrap();
-        }
+        dalia_pool::ThreadPool::new(1).install(|| {
+            for _ in 0..3 {
+                s.objective(&theta0).unwrap();
+            }
+        });
         // Sequential evaluations never need more than the one pooled solver.
         assert_eq!(s.solver_pool_size(), 1);
     }

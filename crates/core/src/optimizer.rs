@@ -48,27 +48,21 @@ impl GradientResult {
     }
 }
 
-/// Evaluate the objective at every point, in parallel when
-/// `settings.parallel_feval` is set (the S1 layer, one pooled solver per
-/// concurrent lane), and return in point order what `keep` takes from each
-/// evaluation — so a caller that reads only values holds no latent means.
+/// Evaluate the objective at every point in parallel on the current pool
+/// (the S1 layer, one pooled solver per concurrent lane), and return in point
+/// order what `keep` takes from each evaluation — so a caller that reads only
+/// values holds no latent means.
 fn evaluate_all<T: Send>(
     session: &InlaSession,
     points: &[Vec<f64>],
     keep: impl Fn(FobjResult) -> T + Sync,
 ) -> Vec<Result<T, CoreError>> {
-    let evaluate = |p: &Vec<f64>| session.evaluate(p).map(&keep);
-    if session.settings().parallel_feval {
-        points.par_iter().map(evaluate).collect()
-    } else {
-        points.iter().map(evaluate).collect()
-    }
+    points.par_iter().map(|p| session.evaluate(p).map(&keep)).collect()
 }
 
-/// Evaluate `f_obj` and its central-difference gradient (Eq. 10). When
-/// `settings.parallel_feval` is set, the `2·dim(θ) + 1` evaluations run in
-/// parallel — this is the S1 layer of the paper, with one pooled solver per
-/// concurrent lane.
+/// Evaluate `f_obj` and its central-difference gradient (Eq. 10). The
+/// `2·dim(θ) + 1` evaluations run in parallel — this is the S1 layer of the
+/// paper, with one pooled solver per concurrent lane.
 pub fn evaluate_gradient(session: &InlaSession, theta: &[f64]) -> Result<GradientResult, CoreError> {
     central_difference(session, theta, None)
 }
@@ -395,12 +389,11 @@ mod tests {
     #[test]
     fn gradient_matches_serial_and_parallel() {
         let (model, prior, theta) = toy();
-        let mut s_par = InlaSettings::dalia(1);
-        s_par.parallel_feval = true;
-        let mut s_seq = InlaSettings::dalia(1);
-        s_seq.parallel_feval = false;
-        let g_par = evaluate_gradient(&session(&model, &prior, s_par), &theta).unwrap();
-        let g_seq = evaluate_gradient(&session(&model, &prior, s_seq), &theta).unwrap();
+        let s_par = session(&model, &prior, InlaSettings::dalia(1));
+        let s_seq = session(&model, &prior, InlaSettings::dalia(1));
+        let g_par = evaluate_gradient(&s_par, &theta).unwrap();
+        let g_seq =
+            dalia_pool::ThreadPool::new(1).install(|| evaluate_gradient(&s_seq, &theta)).unwrap();
         assert_eq!(g_par.n_evaluations, 2 * theta.len() + 1);
         for (a, b) in g_par.gradient.iter().zip(&g_seq.gradient) {
             assert!((a - b).abs() < 1e-10);
@@ -470,11 +463,15 @@ mod tests {
         let (model, prior, theta) = toy();
         let h = InlaSettings::dalia(1).fd_step.max(1e-4) * 5.0;
         let mut hessians = Vec::new();
+        let single = dalia_pool::ThreadPool::new(1);
         for parallel in [true, false] {
-            let mut settings = InlaSettings::dalia(1);
-            settings.parallel_feval = parallel;
-            let s = session(&model, &prior, settings);
-            let hess = negative_hessian(&s, &theta).unwrap();
+            let s = session(&model, &prior, InlaSettings::dalia(1));
+            let hess = if parallel {
+                negative_hessian(&s, &theta)
+            } else {
+                single.install(|| negative_hessian(&s, &theta))
+            }
+            .unwrap();
 
             // Second-order central differences, one objective call at a time.
             let f = |shift: &[(usize, f64)]| {

@@ -30,8 +30,6 @@ pub struct InlaSettings {
     pub name: String,
     /// Solver backend for the bottleneck operations.
     pub backend: SolverBackend,
-    /// Evaluate the central-difference gradient components in parallel (S1).
-    pub parallel_feval: bool,
     /// Maximum number of BFGS iterations.
     pub max_iter: usize,
     /// Convergence tolerance on the gradient norm.
@@ -53,7 +51,6 @@ impl InlaSettings {
         Self {
             name: format!("DALIA (S3={partitions})"),
             backend: SolverBackend::Bta { partitions, load_balance: 1.6 },
-            parallel_feval: true,
             max_iter: 50,
             grad_tol: 1e-3,
             fd_step: 1e-3,
@@ -67,7 +64,6 @@ impl InlaSettings {
         Self {
             name: "INLA_DIST-like".to_string(),
             backend: SolverBackend::Bta { partitions: 1, load_balance: 1.0 },
-            parallel_feval: true,
             max_iter: 50,
             grad_tol: 1e-3,
             fd_step: 1e-3,
@@ -82,7 +78,6 @@ impl InlaSettings {
         Self {
             name: "R-INLA-like".to_string(),
             backend: SolverBackend::SparseGeneral,
-            parallel_feval: true,
             max_iter: 50,
             grad_tol: 1e-3,
             fd_step: 1e-3,
@@ -167,7 +162,6 @@ mod tests {
     fn presets_reflect_table1() {
         let dalia = InlaSettings::dalia(4);
         assert_eq!(dalia.partitions(), 4);
-        assert!(dalia.parallel_feval);
 
         let inladist = InlaSettings::inladist_like();
         assert_eq!(inladist.partitions(), 1);

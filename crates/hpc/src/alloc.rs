@@ -6,6 +6,11 @@
 //! factorizations), then S3 (time-domain partitioned solver) — except that S3
 //! is engaged *first* when the densified BTA matrix no longer fits in a single
 //! device's memory.
+//!
+//! S2 here is the paper's GPU pipeline, which factorizes `Q_p` and `Q_c`
+//! concurrently. This engine takes `log |Q_p|` from the per-process
+//! precisions instead of factorizing the joint `Q_p`, so it has no S2 work;
+//! the S2 degree only feeds the paper-scale model in [`crate::perfmodel`].
 
 /// How many ways each strategy layer is parallelized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -13,7 +18,8 @@ pub struct StrategyAllocation {
     /// Number of parallel objective-function evaluation groups (≤ n_feval).
     pub s1: usize,
     /// Number of parallel precision-matrix pipelines inside one evaluation
-    /// (1 or 2: Qp and Qc can be factorized concurrently for Gaussian data).
+    /// (1 or 2: the paper's GPU pipeline factorizes Qp and Qc concurrently
+    /// for Gaussian data; this engine has no joint Qp factorization to run).
     pub s2: usize,
     /// Number of time-domain partitions of the distributed solver.
     pub s3: usize,

@@ -273,8 +273,11 @@ pub fn dalia_iteration_time(dims: &ModelDims, devices: usize, hw: &HardwareProfi
     };
     let alloc = allocate(devices, &input);
 
-    // One objective-function evaluation: assemble Qp and Qc, factorize both
-    // (in parallel when S2 = 2), triangular-solve for the conditional mean.
+    // One objective-function evaluation of the paper's GPU pipeline:
+    // assemble Qp and Qc, factorize both (in parallel when S2 = 2),
+    // triangular-solve for the conditional mean. The S2 term is paper-only:
+    // this engine takes log|Qp| from the per-process precisions and runs no
+    // second factorization.
     let lb = 1.6;
     let factor_time = d_bta_factor_time(&bta, alloc.s3, lb, hw);
     let solve_time = d_bta_solve_time(&bta, alloc.s3, lb, hw, 1);

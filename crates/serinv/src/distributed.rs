@@ -51,31 +51,30 @@
 //! by the `*_bitwise_match_indivisible` tests below and by the
 //! parallel-vs-sequential session proptest in `tests/session_reuse.rs`.
 //!
-//! # The reduced system is no longer sequential
+//! # The reduced system
 //!
-//! Two stages of the pipeline used to run on one worker regardless of `P`:
-//!
-//! * **Schur assembly** is a *tree reduction*: per-partition
-//!   `SchurContribution`s merge pairwise along a fixed binary tree
-//!   (contiguous partition ranges split at their midpoint, left half always
-//!   accumulated before the right). The pairing order is a function of `P`
-//!   alone, so the assembled reduced matrix is bitwise independent of the
-//!   worker count and of whether the merge ran forked or inline.
-//! * **Reduced-system factorization** runs through [`pobtaf_parallel`]: the
-//!   right-looking trailing updates of each reduced block column (the
-//!   `trsm` pair, then the `syrk`/`gemm`/`syrk` Schur and arrow updates)
-//!   fork as join groups with per-subtask [`PackBuffer`] lanes, exactly
-//!   like the stealable interiors. Tiny reduced systems (`b` below the
-//!   fork cutoff, or a 1-thread pool) fall back to the sequential
-//!   [`pobtaf`] kernel; either way the factor is bitwise identical to it.
+//! * **Schur assembly** is a linear sum in partition order: reduced block `k`
+//!   takes partition `k`'s right-separator update plus partition `k + 1`'s
+//!   left-separator update, summed first and subtracted once, and the tip
+//!   sums every partition's update left to right. The order is a function of
+//!   `P` alone, so the reduced matrix is bitwise independent of the worker
+//!   count.
+//! * **Reduced-system factorization** runs through the same column loop as
+//!   [`pobtaf`] (`factor_columns`): under [`InteriorSchedule::Stealable`] the
+//!   right-looking trailing updates of each reduced block column (the `trsm`
+//!   pair, then the `syrk`/`gemm`/`syrk` Schur and arrow updates) fork as
+//!   join groups with per-subtask [`PackBuffer`] lanes, exactly like the
+//!   stealable interiors. Small blocks, a single reduced column or a 1-thread
+//!   pool run the column steps inline; either way the factor is bitwise
+//!   identical to [`pobtaf`]'s.
 //!
 //! The three phases mirror their sequential counterparts and compute the same
 //! paper quantities (`log |Q|`, `Q⁻¹ r`, `diag(Q⁻¹)`):
 //!
-//! 1. **`d_pobtaf`** — per-partition interior elimination (parallel), a
-//!    tree-reduced Schur assembly onto the separators/tip, then a parallel
-//!    `pobtaf` of the reduced `(P−1)`-block BTA system — formerly the
-//!    sequential scalability bottleneck the paper's Fig. 5 measures.
+//! 1. **`d_pobtaf`** — per-partition interior elimination (parallel), the
+//!    Schur assembly onto the separators/tip, then the forked column loop
+//!    over the reduced `(P−1)`-block BTA system — the stage whose sequential
+//!    cost bounds the scalability the paper's Fig. 5 measures.
 //! 2. **`d_pobtas`** — parallel forward substitution on the interiors (with
 //!    forked separator/tip accumulations per column), the reduced-system
 //!    solve, and a parallel backward pass (with the carried sub-diagonal
@@ -85,10 +84,11 @@
 //!    block work), the three selected-inverse columns forked per block
 //!    column.
 //!
-//! Every parallel closure owns a private [`PackBuffer`], so the packed
-//! micro-kernels in `dalia_la::blas` never contend for workspace across
-//! partitions; the buffer is reused across all block columns of that
-//! partition.
+//! Every partition task owns three [`PackBuffer`] lanes, one per subtask of
+//! its widest join group, so the packed micro-kernels in `dalia_la::blas`
+//! never contend for workspace; the lanes are reused across all block
+//! columns of that partition. One function, `Lanes::new`, decides for every
+//! column loop whether its steps fork or run inline.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
 use crate::partition::Partitioning;
@@ -121,7 +121,6 @@ pub struct PartitionFactor {
 /// Schur-complement contribution of one partition onto the reduced system.
 #[derive(Clone, Debug)]
 struct SchurContribution {
-    p: usize,
     /// Update to the left-separator diagonal block.
     s_ll: Option<Matrix>,
     /// Update to the right-separator diagonal block.
@@ -214,145 +213,157 @@ pub enum InteriorSchedule {
 
 /// Below this diagonal block size the column subtasks are too small to repay
 /// the fork overhead (a `trsm` at `b = 48` is a few microseconds), so the
-/// stealable schedule falls back to the sequential column step. Scheduling
-/// only — results are bitwise identical either way.
+/// stealable schedule runs the column steps inline. Scheduling only — results
+/// are bitwise identical either way.
 pub(crate) const STEAL_MIN_BLOCK: usize = 48;
 
-/// Dedicated pack-buffer lanes for the stealable interior elimination: one
-/// per concurrent `join` subtask, reused across all block columns of the
-/// partition, so the packed micro-kernels never contend for workspace and a
-/// warm partition task allocates nothing per column.
-pub(crate) struct InteriorPacks {
-    /// Critical path (`potrf`) + sub-diagonal `trsm` + `D_{j+1}` propagation.
-    pub(crate) diag: PackBuffer,
-    /// Left-separator fill `trsm` + `W_{j+1}`/`C_{j+1}` propagation.
-    pub(crate) left: PackBuffer,
-    /// Arrow-panel `trsm`.
-    pub(crate) arrow: PackBuffer,
-    /// Schur accumulation onto the reduced system.
-    pub(crate) schur: PackBuffer,
+/// Pack-buffer lanes of one column loop: one per subtask of a forked join
+/// group (no group has more than three), reused across all block columns of
+/// the loop, so the packed micro-kernels never contend for workspace and a
+/// warm loop allocates nothing per column.
+pub(crate) type PackLanes = [PackBuffer; 3];
+
+/// How a column loop runs the join groups of its column steps.
+pub(crate) enum Lanes<'a> {
+    /// Every subtask runs in order on one shared buffer.
+    Inline(&'a mut PackBuffer),
+    /// Subtask `k` of each join group runs on lane `k`, forked onto the pool.
+    Forked(&'a mut PackLanes),
 }
 
-impl InteriorPacks {
-    pub(crate) fn new() -> Self {
-        InteriorPacks {
-            diag: PackBuffer::new(),
-            left: PackBuffer::new(),
-            arrow: PackBuffer::new(),
-            schur: PackBuffer::new(),
+impl<'a> Lanes<'a> {
+    /// The fork decision of every BTA column loop: fork under
+    /// [`InteriorSchedule::Stealable`] when the blocks reach
+    /// `STEAL_MIN_BLOCK`, the loop has more than one block column to overlap
+    /// and the pool has more than one worker; otherwise run inline on the
+    /// first lane.
+    pub(crate) fn new(
+        lanes: &'a mut PackLanes,
+        sched: InteriorSchedule,
+        b: usize,
+        columns: usize,
+    ) -> Self {
+        if sched == InteriorSchedule::Stealable
+            && b >= STEAL_MIN_BLOCK
+            && columns > 1
+            && dalia_pool::current_num_threads() > 1
+        {
+            Lanes::Forked(lanes)
+        } else {
+            Lanes::Inline(&mut lanes[0])
+        }
+    }
+
+    /// The buffer for the kernels between join groups (the critical path).
+    pub(crate) fn main(&mut self) -> &mut PackBuffer {
+        match self {
+            Lanes::Inline(pack) => pack,
+            Lanes::Forked(lanes) => &mut lanes[0],
+        }
+    }
+
+    /// Run the independent subtasks `f`, `g` and (if any) `h` of one column
+    /// step, each handed its pack lane: in order on the shared buffer, or as
+    /// one `join`-structured fork whose subtasks idle workers can steal. The
+    /// subtasks write disjoint outputs, so forking changes scheduling only.
+    pub(crate) fn fork<F, G, H>(&mut self, f: F, g: G, h: Option<H>)
+    where
+        F: FnOnce(&mut PackBuffer) + Send,
+        G: FnOnce(&mut PackBuffer) + Send,
+        H: FnOnce(&mut PackBuffer) + Send,
+    {
+        match self {
+            Lanes::Inline(pack) => {
+                f(pack);
+                g(pack);
+                if let Some(h) = h {
+                    h(pack);
+                }
+            }
+            Lanes::Forked([x, y, z]) => match h {
+                None => {
+                    dalia_pool::join(|| f(x), || g(y));
+                }
+                Some(h) => {
+                    dalia_pool::join(|| f(x), || dalia_pool::join(|| g(y), || h(z)));
+                }
+            },
         }
     }
 }
 
-/// Run three independent subtasks of one column step, either as a
-/// `join`-structured fork (stealable by idle pool workers) or inline. The
-/// subtasks write disjoint outputs, so the fork changes scheduling only.
-pub(crate) fn run3(
-    split: bool,
-    f: impl FnOnce() + Send,
-    g: impl FnOnce() + Send,
-    h: impl FnOnce() + Send,
-) {
-    if split {
-        dalia_pool::join(f, || {
-            dalia_pool::join(g, h);
-        });
-    } else {
-        f();
-        g();
-        h();
-    }
-}
-
-/// Two-subtask variant of [`run3`] for column steps with only a pair of
-/// independent lanes (the reduced-system `trsm` pair, the solve's carried /
-/// external update split).
-pub(crate) fn run2(split: bool, f: impl FnOnce() + Send, g: impl FnOnce() + Send) {
-    if split {
-        dalia_pool::join(f, g);
-    } else {
-        f();
-        g();
-    }
-}
-
-/// Eliminate block columns `start .. n` of `m` in place (plus the arrow
-/// tip), assuming columns `0 .. start` already hold factor values and the
-/// working blocks of column `start` carry all Schur updates from them.
+/// The block Cholesky column loop behind every monolithic BTA factorization
+/// ([`pobtaf`], the reduced system of [`d_pobtaf`], the streaming kernels):
+/// eliminate block columns `start .. n` of `m` in place (plus the arrow tip),
+/// assuming columns `0 .. start` already hold factor values and the working
+/// blocks of column `start` carry all Schur updates from them.
 ///
-/// With `split == false` this issues exactly the kernel sequence of the
-/// sequential `factor_in_place` loop; with `split == true` it forks the
-/// disjoint-output subtasks of each column as pool join groups (the schedule
-/// [`pobtaf_parallel`] documents) — the kernel calls and operands are
-/// identical either way, so the factors match bitwise. [`pobtaf_parallel`]
-/// runs it over every column, the streaming kernels over the trailing ones.
+/// Per column the diagonal `potrf` stays on the critical path; the two
+/// independent `trsm` solves against `L_iiᵀ` (sub-diagonal `B_i`, arrow
+/// panel `C_i`) form one join group, and the three trailing updates with
+/// disjoint outputs (`D_{i+1} −= B_i B_iᵀ`, `C_{i+1} −= C_i B_iᵀ`,
+/// `T −= C_i C_iᵀ`) a second. Inline and forked `lanes` issue the same kernel
+/// calls on the same operands, so the factor is bitwise independent of the
+/// schedule and of the worker count.
 pub(crate) fn factor_columns(
     m: &mut BtaMatrix,
     start: usize,
-    packs: &mut InteriorPacks,
-    split: bool,
+    lanes: &mut Lanes,
 ) -> Result<(), SerinvError> {
     let n = m.n;
     let has_arrow = m.a > 0;
     for i in start..n {
         // D_i = L_ii L_iiᵀ — the critical path of the column.
-        chol::potrf_with(&mut packs.diag, &mut m.diag[i])
+        chol::potrf_with(lanes.main(), &mut m.diag[i])
             .map_err(|e| SerinvError::Factorization { block: i, source: e })?;
 
         // B_i := B_i L_ii⁻ᵀ ∥ C_i := C_i L_ii⁻ᵀ (disjoint outputs).
-        {
-            let InteriorPacks { diag: pk_diag, arrow: pk_arrow, .. } = packs;
-            let l_ii = &m.diag[i];
-            let sub_rhs = if i + 1 < n { Some(&mut m.sub[i]) } else { None };
-            let arrow_rhs = if has_arrow { Some(&mut m.arrow[i]) } else { None };
-            run2(
-                split,
-                move || {
-                    if let Some(bi) = sub_rhs {
-                        blas::trsm_with(pk_diag, Side::Right, Triangle::Lower, Trans::Yes, l_ii, bi);
-                    }
-                },
-                move || {
-                    if let Some(ci) = arrow_rhs {
-                        blas::trsm_with(pk_arrow, Side::Right, Triangle::Lower, Trans::Yes, l_ii, ci);
-                    }
-                },
-            );
-        }
+        let l_ii = &m.diag[i];
+        let sub_rhs = if i + 1 < n { Some(&mut m.sub[i]) } else { None };
+        let arrow_rhs = if has_arrow { Some(&mut m.arrow[i]) } else { None };
+        lanes.fork(
+            move |pk| {
+                if let Some(bi) = sub_rhs {
+                    blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l_ii, bi);
+                }
+            },
+            move |pk| {
+                if let Some(ci) = arrow_rhs {
+                    blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l_ii, ci);
+                }
+            },
+            None::<fn(&mut PackBuffer)>,
+        );
 
         // Trailing updates: D_{i+1}, C_{i+1} and the tip are disjoint.
-        {
-            let InteriorPacks { diag: pk_diag, left: pk_left, schur: pk_schur, .. } = packs;
-            let (_, diag_tail) = m.diag.split_at_mut(i + 1);
-            let arrow_mid = (i + 1).min(m.arrow.len());
-            let (arrow_head, arrow_tail) = m.arrow.split_at_mut(arrow_mid);
-            let b_i = if i + 1 < n { Some(&m.sub[i]) } else { None };
-            let c_i = if has_arrow { Some(&arrow_head[i]) } else { None };
-            let next_diag = if i + 1 < n { Some(&mut diag_tail[0]) } else { None };
-            let next_arrow = if has_arrow && i + 1 < n { Some(&mut arrow_tail[0]) } else { None };
-            let tip = if has_arrow { Some(&mut m.tip) } else { None };
-            run3(
-                split,
-                move || {
-                    if let (Some(nd), Some(bi)) = (next_diag, b_i) {
-                        blas::syrk_full_with(pk_diag, Trans::No, -1.0, bi, 1.0, nd);
-                    }
-                },
-                move || {
-                    if let (Some(na), Some(ci), Some(bi)) = (next_arrow, c_i, b_i) {
-                        blas::gemm_with(pk_left, Trans::No, Trans::Yes, -1.0, ci, bi, 1.0, na);
-                    }
-                },
-                move || {
-                    if let (Some(t), Some(ci)) = (tip, c_i) {
-                        blas::syrk_full_with(pk_schur, Trans::No, -1.0, ci, 1.0, t);
-                    }
-                },
-            );
-        }
+        let (_, diag_tail) = m.diag.split_at_mut(i + 1);
+        let arrow_mid = (i + 1).min(m.arrow.len());
+        let (arrow_head, arrow_tail) = m.arrow.split_at_mut(arrow_mid);
+        let b_i = if i + 1 < n { Some(&m.sub[i]) } else { None };
+        let c_i = if has_arrow { Some(&arrow_head[i]) } else { None };
+        let next_diag = if i + 1 < n { Some(&mut diag_tail[0]) } else { None };
+        let next_arrow = if has_arrow && i + 1 < n { Some(&mut arrow_tail[0]) } else { None };
+        let tip = if has_arrow { Some(&mut m.tip) } else { None };
+        lanes.fork(
+            move |pk| {
+                if let (Some(nd), Some(bi)) = (next_diag, b_i) {
+                    blas::syrk_full_with(pk, Trans::No, -1.0, bi, 1.0, nd);
+                }
+            },
+            move |pk| {
+                if let (Some(na), Some(ci), Some(bi)) = (next_arrow, c_i, b_i) {
+                    blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, ci, bi, 1.0, na);
+                }
+            },
+            Some(move |pk: &mut PackBuffer| {
+                if let (Some(t), Some(ci)) = (tip, c_i) {
+                    blas::syrk_full_with(pk, Trans::No, -1.0, ci, 1.0, t);
+                }
+            }),
+        );
     }
     if has_arrow {
-        chol::potrf_with(&mut packs.diag, &mut m.tip)
+        chol::potrf_with(lanes.main(), &mut m.tip)
             .map_err(|e| SerinvError::Factorization { block: n, source: e })?;
     }
     Ok(())
@@ -378,9 +389,6 @@ fn factor_partition(
     let has_left = p > 0;
     let has_right = p + 1 < num_parts;
     let has_arrow = aa > 0;
-    let split = sched == InteriorSchedule::Stealable
-        && b >= STEAL_MIN_BLOCK
-        && dalia_pool::current_num_threads() > 1;
 
     let len = e.saturating_sub(s);
     let mut l_diag = Vec::with_capacity(len);
@@ -389,7 +397,8 @@ fn factor_partition(
     let mut l_arrow = Vec::with_capacity(len);
     let mut l_right = None;
 
-    let mut packs = InteriorPacks::new();
+    let mut pack_lanes = PackLanes::default();
+    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
     let mut s_ll = if has_left { Some(Matrix::zeros(b, b)) } else { None };
     let mut s_rr = if has_right { Some(Matrix::zeros(b, b)) } else { None };
     let mut s_rl = if has_left && has_right { Some(Matrix::zeros(b, b)) } else { None };
@@ -408,7 +417,7 @@ fn factor_partition(
     for j in s..e {
         let is_last = j + 1 == e;
         // Factorize the diagonal block — the critical path of the column.
-        chol::potrf_with(&mut packs.diag, &mut diag_work)
+        chol::potrf_with(lanes.main(), &mut diag_work)
             .map_err(|err| SerinvError::Factorization { block: j, source: err })?;
         let l_jj = diag_work.clone();
 
@@ -419,28 +428,26 @@ fn factor_partition(
         let mut b_j = if !is_last { Some(a.sub[j].clone()) } else { None };
         let mut r_j = if is_last && has_right { Some(a.sub[j].clone()) } else { None };
         {
-            let InteriorPacks { diag: pk_diag, left: pk_left, arrow: pk_arrow, .. } = &mut packs;
             let l = &l_jj;
             let sub_rhs = b_j.as_mut().or(r_j.as_mut());
             let left_rhs = left_work.as_mut();
             let arrow_rhs = if has_arrow { Some(&mut arrow_work) } else { None };
-            run3(
-                split,
-                move || {
+            lanes.fork(
+                move |pk| {
                     if let Some(m) = sub_rhs {
-                        blas::trsm_with(pk_diag, Side::Right, Triangle::Lower, Trans::Yes, l, m);
+                        blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, m);
                     }
                 },
-                move || {
+                move |pk| {
                     if let Some(w) = left_rhs {
-                        blas::trsm_with(pk_left, Side::Right, Triangle::Lower, Trans::Yes, l, w);
+                        blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, w);
                     }
                 },
-                move || {
+                Some(move |pk: &mut PackBuffer| {
                     if let Some(c) = arrow_rhs {
-                        blas::trsm_with(pk_arrow, Side::Right, Triangle::Lower, Trans::Yes, l, c);
+                        blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, c);
                     }
-                },
+                }),
             );
         }
         let w_j = left_work.clone();
@@ -457,68 +464,57 @@ fn factor_partition(
             if !is_last && w_j.is_some() { Some(Matrix::zeros(b, b)) } else { None };
         let mut next_arrow = if !is_last { Some(a.arrow[j + 1].clone()) } else { None };
         {
-            let InteriorPacks { diag: pk_diag, left: pk_left, schur: pk_schur, .. } = &mut packs;
             let (s_ll, s_rr, s_rl, s_al, s_ar, s_tt) =
                 (&mut s_ll, &mut s_rr, &mut s_rl, &mut s_al, &mut s_ar, &mut s_tt);
             let (b_j, r_j, w_j, c_j) = (&b_j, &r_j, &w_j, &c_j);
             let (next_diag, next_left, next_arrow) =
                 (&mut next_diag, &mut next_left, &mut next_arrow);
-            run3(
-                split,
-                move || {
+            lanes.fork(
+                move |pk| {
                     // Schur updates onto the reduced system.
                     if let (Some(sll), Some(w)) = (s_ll.as_mut(), w_j.as_ref()) {
-                        blas::syrk_full_with(pk_schur, Trans::No, 1.0, w, 1.0, sll);
+                        blas::syrk_full_with(pk, Trans::No, 1.0, w, 1.0, sll);
                     }
                     if has_arrow {
                         if let (Some(sal), Some(w)) = (s_al.as_mut(), w_j.as_ref()) {
-                            blas::gemm_with(pk_schur, Trans::No, Trans::Yes, 1.0, c_j, w, 1.0, sal);
+                            blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, c_j, w, 1.0, sal);
                         }
-                        blas::syrk_full_with(pk_schur, Trans::No, 1.0, c_j, 1.0, s_tt);
+                        blas::syrk_full_with(pk, Trans::No, 1.0, c_j, 1.0, s_tt);
                     }
                     if is_last {
                         if let (Some(srr), Some(r)) = (s_rr.as_mut(), r_j.as_ref()) {
-                            blas::syrk_full_with(pk_schur, Trans::No, 1.0, r, 1.0, srr);
+                            blas::syrk_full_with(pk, Trans::No, 1.0, r, 1.0, srr);
                         }
                         if let (Some(srl), (Some(r), Some(w))) =
                             (s_rl.as_mut(), (r_j.as_ref(), w_j.as_ref()))
                         {
-                            blas::gemm_with(pk_schur, Trans::No, Trans::Yes, 1.0, r, w, 1.0, srl);
+                            blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, r, w, 1.0, srl);
                         }
                         if has_arrow {
                             if let (Some(sar), Some(r)) = (s_ar.as_mut(), r_j.as_ref()) {
-                                blas::gemm_with(
-                                    pk_schur,
-                                    Trans::No,
-                                    Trans::Yes,
-                                    1.0,
-                                    c_j,
-                                    r,
-                                    1.0,
-                                    sar,
-                                );
+                                blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, c_j, r, 1.0, sar);
                             }
                         }
                     }
                 },
-                move || {
+                move |pk| {
                     // D_{j+1} -= B_j B_jᵀ.
                     if let (Some(nd), Some(bj)) = (next_diag.as_mut(), b_j.as_ref()) {
-                        blas::syrk_full_with(pk_diag, Trans::No, -1.0, bj, 1.0, nd);
+                        blas::syrk_full_with(pk, Trans::No, -1.0, bj, 1.0, nd);
                     }
                 },
-                move || {
+                Some(move |pk: &mut PackBuffer| {
                     if let Some(bj) = b_j.as_ref() {
                         // W_{j+1} = -W_j B_jᵀ.
                         if let (Some(nl), Some(w)) = (next_left.as_mut(), w_j.as_ref()) {
-                            blas::gemm_with(pk_left, Trans::No, Trans::Yes, -1.0, w, bj, 0.0, nl);
+                            blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, w, bj, 0.0, nl);
                         }
                         // C_{j+1} -= C_j B_jᵀ.
                         if let (Some(na), true) = (next_arrow.as_mut(), has_arrow) {
-                            blas::gemm_with(pk_left, Trans::No, Trans::Yes, -1.0, c_j, bj, 1.0, na);
+                            blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, c_j, bj, 1.0, na);
                         }
                     }
-                },
+                }),
             );
         }
         if !is_last {
@@ -543,130 +539,18 @@ fn factor_partition(
 
     Ok((
         PartitionFactor { p, interior: (s, e), l_diag, l_sub, l_left, l_right, l_arrow },
-        SchurContribution { p, s_ll, s_rr, s_rl, s_al, s_ar, s_tt },
+        SchurContribution { s_ll, s_rr, s_rl, s_al, s_ar, s_tt },
     ))
 }
 
-/// Merged Schur contributions of a contiguous partition range, keyed by
-/// reduced block index — one node of the tree reduction in
-/// [`assemble_reduced`]. Each list is sorted by index; a matrix moves from
-/// its [`SchurContribution`] into the leaf and is then only ever added to
-/// (`axpy`), never copied, as nodes merge upward.
-struct SchurSpan {
-    /// Updates to reduced diagonal blocks `(k, ΔD_k)`.
-    diag: Vec<(usize, Matrix)>,
-    /// Updates to reduced sub-diagonal blocks `(k, ΔB_k)` at `(k+1, k)`.
-    sub: Vec<(usize, Matrix)>,
-    /// Updates to reduced arrow blocks `(k, ΔC_k)`.
-    arrow: Vec<(usize, Matrix)>,
-    /// Update to the arrow tip (absent when `a = 0`).
-    tip: Option<Matrix>,
-}
-
-impl SchurSpan {
-    /// Leaf node: the contributions of one partition. Partition `p` touches
-    /// reduced index `p-1` through its left separator and `p` through its
-    /// right one, so the index lists are sorted by construction.
-    fn leaf(c: &mut SchurContribution, has_arrow: bool) -> SchurSpan {
-        let p = c.p;
-        let mut diag = Vec::with_capacity(2);
-        if let Some(sll) = c.s_ll.take() {
-            diag.push((p - 1, sll));
-        }
-        if let Some(srr) = c.s_rr.take() {
-            diag.push((p, srr));
-        }
-        let sub = c.s_rl.take().map(|srl| (p - 1, srl)).into_iter().collect();
-        let mut arrow = Vec::with_capacity(2);
-        let tip = if has_arrow {
-            if let Some(sal) = c.s_al.take() {
-                arrow.push((p - 1, sal));
-            }
-            if let Some(sar) = c.s_ar.take() {
-                arrow.push((p, sar));
-            }
-            Some(std::mem::replace(&mut c.s_tt, Matrix::zeros(0, 0)))
-        } else {
-            None
-        };
-        SchurSpan { diag, sub, arrow, tip }
-    }
-
-    /// Merge two sorted update lists; overlapping indices accumulate as
-    /// `left + right` (the only overlap is the junction block between the
-    /// two partition ranges).
-    fn merge_lists(left: Vec<(usize, Matrix)>, right: Vec<(usize, Matrix)>) -> Vec<(usize, Matrix)> {
-        let mut out = Vec::with_capacity(left.len() + right.len());
-        let mut r = right.into_iter().peekable();
-        for (k, mut m) in left {
-            while let Some(&(rk, _)) = r.peek() {
-                if rk < k {
-                    out.push(r.next().unwrap());
-                } else if rk == k {
-                    m.axpy(1.0, &r.next().unwrap().1);
-                } else {
-                    break;
-                }
-            }
-            out.push((k, m));
-        }
-        out.extend(r);
-        out
-    }
-
-    /// Combine the spans of two adjacent partition ranges: always
-    /// `left + right`, so the accumulation order depends only on the tree
-    /// shape, never on which worker finished first.
-    fn merge(left: SchurSpan, right: SchurSpan) -> SchurSpan {
-        let tip = match (left.tip, right.tip) {
-            (Some(mut l), Some(r)) => {
-                l.axpy(1.0, &r);
-                Some(l)
-            }
-            (l, r) => l.or(r),
-        };
-        SchurSpan {
-            diag: Self::merge_lists(left.diag, right.diag),
-            sub: Self::merge_lists(left.sub, right.sub),
-            arrow: Self::merge_lists(left.arrow, right.arrow),
-            tip,
-        }
-    }
-}
-
-/// Tree-reduce a contiguous range of Schur contributions. The range always
-/// splits at its midpoint and every merge accumulates left-before-right, so
-/// the result is a pure function of the contribution values — forking the
-/// two halves onto the pool changes scheduling only, and the assembled
-/// reduced system stays bitwise independent of the worker count.
-fn reduce_schur(contribs: &mut [SchurContribution], has_arrow: bool, split: bool) -> SchurSpan {
-    match contribs {
-        [] => SchurSpan { diag: Vec::new(), sub: Vec::new(), arrow: Vec::new(), tip: None },
-        [c] => SchurSpan::leaf(c, has_arrow),
-        _ => {
-            let mid = contribs.len() / 2;
-            let (left, right) = contribs.split_at_mut(mid);
-            let (ls, rs) = if split {
-                dalia_pool::join(
-                    || reduce_schur(left, has_arrow, split),
-                    || reduce_schur(right, has_arrow, split),
-                )
-            } else {
-                (reduce_schur(left, has_arrow, false), reduce_schur(right, has_arrow, false))
-            };
-            SchurSpan::merge(ls, rs)
-        }
-    }
-}
-
 /// Assemble the reduced BTA system over the separators + tip from the original
-/// matrix and the partitions' Schur contributions.
+/// matrix and the partitions' Schur contributions, in partition order.
 ///
-/// The per-partition contributions combine by tree reduction ([`reduce_schur`])
-/// instead of a linear left-to-right walk: pairs of adjacent partition ranges
-/// merge in parallel on the pool, and the deep sum onto the arrow tip (every
-/// partition contributes to it) accumulates along a fixed binary tree rather
-/// than serializing over `P` terms.
+/// Reduced block `k` is separator `k`: partition `k` updates it through its
+/// right separator and partition `k + 1` through its left one, so its
+/// diagonal and arrow updates are the sum of those two, subtracted once. The
+/// tip sums every partition's update left to right. The accumulation order is
+/// a function of `P` alone, never of the worker count.
 fn assemble_reduced(
     a: &BtaMatrix,
     part: &Partitioning,
@@ -693,43 +577,33 @@ fn assemble_reduced(
     }
     reduced.tip = a.tip.clone();
 
-    let split = dalia_pool::current_num_threads() > 1;
-    let span = reduce_schur(contribs, aa > 0, split);
-    for (k, m) in &span.diag {
-        reduced.diag[*k].axpy(-1.0, m);
-    }
-    for (k, m) in &span.sub {
+    for k in 0..n_red {
+        let (head, tail) = contribs.split_at_mut(k + 1);
+        let (left, right) = (&mut head[k], &tail[0]);
+        if let (Some(d), Some(d_right)) = (left.s_rr.as_mut(), right.s_ll.as_ref()) {
+            d.axpy(1.0, d_right);
+            reduced.diag[k].axpy(-1.0, d);
+        }
         // Coupling between reduced blocks k+1 (row) and k (column).
-        reduced.sub[*k].axpy(-1.0, m);
+        if let Some(rl) = right.s_rl.as_ref() {
+            reduced.sub[k].axpy(-1.0, rl);
+        }
+        if aa > 0 {
+            if let (Some(c), Some(c_right)) = (left.s_ar.as_mut(), right.s_al.as_ref()) {
+                c.axpy(1.0, c_right);
+                reduced.arrow[k].axpy(-1.0, c);
+            }
+        }
     }
-    for (k, m) in &span.arrow {
-        reduced.arrow[*k].axpy(-1.0, m);
-    }
-    if let Some(tip) = &span.tip {
-        reduced.tip.axpy(-1.0, tip);
+    if aa > 0 {
+        if let Some((first, rest)) = contribs.split_first_mut() {
+            for c in rest.iter() {
+                first.s_tt.axpy(1.0, &c.s_tt);
+            }
+            reduced.tip.axpy(-1.0, &first.s_tt);
+        }
     }
     reduced
-}
-
-/// Fork-join parallel BTA Cholesky factorization: [`pobtaf`] with the
-/// right-looking trailing updates of every block column forked as pool join
-/// groups — the path [`d_pobtaf_scheduled`] uses for the reduced system,
-/// which a linear chain of partitions cannot parallelize any other way.
-///
-/// Per column the diagonal `potrf` stays on the critical path; the two
-/// independent `trsm` solves against `L_iiᵀ` (sub-diagonal `B_i`, arrow
-/// panel `C_i`) fork as one join group, and the three trailing updates with
-/// disjoint outputs (`D_{i+1} −= B_i B_iᵀ`, `C_{i+1} −= C_i B_iᵀ`,
-/// `T −= C_i C_iᵀ`) fork as a second, each subtask on a dedicated
-/// [`PackBuffer`] lane. The kernel calls and their operands are identical to
-/// the sequential loop, so the factor is **bitwise identical** to
-/// [`pobtaf`]'s. Tiny systems (`b` below the fork cutoff), single-block
-/// matrices and 1-thread pools run the same column loop unforked.
-pub fn pobtaf_parallel(a: &BtaMatrix) -> Result<BtaCholesky, SerinvError> {
-    let split = a.b >= STEAL_MIN_BLOCK && a.n > 1 && dalia_pool::current_num_threads() > 1;
-    let mut m = a.clone();
-    factor_columns(&mut m, 0, &mut InteriorPacks::new(), split)?;
-    Ok(BtaCholesky { blocks: m })
 }
 
 /// Distributed BTA Cholesky factorization (`d_pobtaf`) with stealable
@@ -742,10 +616,9 @@ pub fn d_pobtaf(a: &BtaMatrix, part: &Partitioning) -> Result<DistBtaCholesky, S
 ///
 /// The two schedules produce **bitwise identical** factors; `Indivisible`
 /// exists as the measurable pool v1 baseline (one sequential task per
-/// partition interior, sequential reduced-system factorization) for
-/// `pool_bench` and the stress tests. The Schur assembly tree-reduces under
-/// both schedules — its pairing order is fixed, so it is not a scheduling
-/// degree of freedom.
+/// partition interior, reduced-system column steps inline) for `pool_bench`
+/// and the stress tests. The Schur assembly is the same linear sum under both
+/// schedules.
 pub fn d_pobtaf_scheduled(
     a: &BtaMatrix,
     part: &Partitioning,
@@ -760,18 +633,15 @@ pub fn d_pobtaf_scheduled(
         .into_par_iter()
         .map(|p| factor_partition(a, part, p, sched))
         .collect();
-    let results = results?;
-    let (partitions, mut contribs): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    let reduced_matrix = assemble_reduced(a, part, &mut contribs);
-    let reduced = match sched {
-        InteriorSchedule::Stealable => pobtaf_parallel(&reduced_matrix)?,
-        InteriorSchedule::Indivisible => pobtaf(&reduced_matrix)?,
-    };
+    let (partitions, mut contribs): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
+    let mut reduced = assemble_reduced(a, part, &mut contribs);
+    let mut pack_lanes = PackLanes::default();
+    factor_columns(&mut reduced, 0, &mut Lanes::new(&mut pack_lanes, sched, a.b, num_parts - 1))?;
     Ok(DistBtaCholesky::Partitioned {
         structure: (a.n, a.b, a.a),
         partitioning: part.clone(),
         partitions,
-        reduced,
+        reduced: BtaCholesky { blocks: reduced },
     })
 }
 
@@ -804,9 +674,6 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
             let a0 = n * b;
             let seps = partitioning.separators();
             let n_red = seps.len();
-            let split = sched == InteriorSchedule::Stealable
-                && b >= STEAL_MIN_BLOCK
-                && dalia_pool::current_num_threads() > 1;
 
             // ---- Forward substitution on the interiors (parallel). ----
             // Per partition: (partition index, interior solutions, update to
@@ -817,7 +684,8 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                 .map(|pf| {
                     let (s, e) = pf.interior;
                     let len = e - s;
-                    let mut packs = InteriorPacks::new();
+                    let mut pack_lanes = PackLanes::default();
+                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
                     let mut ys: Vec<Matrix> = Vec::with_capacity(len);
                     let mut left_update: Option<Matrix> =
                         (!pf.l_left.is_empty()).then(|| Matrix::zeros(b, k));
@@ -827,36 +695,33 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                     for (idx, j) in (s..e).enumerate() {
                         let mut yj = rhs.block(j * b, 0, b, k);
                         if idx > 0 {
-                            blas::gemm_with(&mut packs.diag, Trans::No, Trans::No, -1.0, &pf.l_sub[idx - 1], &ys[idx - 1], 1.0, &mut yj);
+                            blas::gemm_with(lanes.main(), Trans::No, Trans::No, -1.0, &pf.l_sub[idx - 1], &ys[idx - 1], 1.0, &mut yj);
                         }
-                        blas::trsm_with(&mut packs.diag, Side::Left, Triangle::Lower, Trans::No, &pf.l_diag[idx], &mut yj);
+                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, &pf.l_diag[idx], &mut yj);
                         // Separator / tip accumulations: three disjoint
                         // outputs reading the shared y_j — one join group.
                         {
-                            let InteriorPacks { left: pk_left, arrow: pk_arrow, schur: pk_schur, .. } =
-                                &mut packs;
                             let (lu, ru, tu) = (&mut left_update, &mut right_update, &mut tip_update);
                             let y = &yj;
                             let w = pf.l_left.get(idx);
                             let r = if idx + 1 == len { pf.l_right.as_ref() } else { None };
                             let c = if a > 0 { Some(&pf.l_arrow[idx]) } else { None };
-                            run3(
-                                split,
-                                move || {
+                            lanes.fork(
+                                move |pk| {
                                     if let (Some(lu), Some(w)) = (lu.as_mut(), w) {
-                                        blas::gemm_with(pk_left, Trans::No, Trans::No, 1.0, w, y, 1.0, lu);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, w, y, 1.0, lu);
                                     }
                                 },
-                                move || {
+                                move |pk| {
                                     if let (Some(ru), Some(r)) = (ru.as_mut(), r) {
-                                        blas::gemm_with(pk_schur, Trans::No, Trans::No, 1.0, r, y, 1.0, ru);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, r, y, 1.0, ru);
                                     }
                                 },
-                                move || {
+                                Some(move |pk: &mut PackBuffer| {
                                     if let Some(c) = c {
-                                        blas::gemm_with(pk_arrow, Trans::No, Trans::No, 1.0, c, y, 1.0, tu);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, c, y, 1.0, tu);
                                     }
-                                },
+                                }),
                             );
                         }
                         ys.push(yj);
@@ -919,7 +784,8 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                 .map(|pf| {
                     let (s, e) = pf.interior;
                     let len = e - s;
-                    let mut packs = InteriorPacks::new();
+                    let mut pack_lanes = PackLanes::default();
+                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
                     let mut xs: Vec<Matrix> = vec![Matrix::zeros(0, 0); len];
                     let x_left = if pf.p > 0 { Some(&sep_x[pf.p - 1]) } else { None };
                     let x_right = if pf.p < last_p { Some(&sep_x[pf.p]) } else { None };
@@ -934,35 +800,34 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                         let mut t = rhs.block(j * b, 0, b, k);
                         ext.fill_zero();
                         {
-                            let InteriorPacks { diag: pk_diag, left: pk_left, .. } = &mut packs;
                             let carried =
                                 if idx + 1 < len { Some((&pf.l_sub[idx], &xs[idx + 1])) } else { None };
                             let (t_ref, ext_ref) = (&mut t, &mut ext);
                             let w = pf.l_left.get(idx);
                             let r = if idx + 1 == len { pf.l_right.as_ref() } else { None };
                             let c = &pf.l_arrow;
-                            run2(
-                                split,
-                                move || {
+                            lanes.fork(
+                                move |pk| {
                                     if let Some((l, x)) = carried {
-                                        blas::gemm_with(pk_diag, Trans::Yes, Trans::No, -1.0, l, x, 1.0, t_ref);
+                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, l, x, 1.0, t_ref);
                                     }
                                 },
-                                move || {
+                                move |pk| {
                                     if let (Some(w), Some(xl)) = (w, x_left) {
-                                        blas::gemm_with(pk_left, Trans::Yes, Trans::No, -1.0, w, xl, 1.0, ext_ref);
+                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, w, xl, 1.0, ext_ref);
                                     }
                                     if let (Some(r), Some(xr)) = (r, x_right) {
-                                        blas::gemm_with(pk_left, Trans::Yes, Trans::No, -1.0, r, xr, 1.0, ext_ref);
+                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, r, xr, 1.0, ext_ref);
                                     }
                                     if let Some(xt) = x_tip {
-                                        blas::gemm_with(pk_left, Trans::Yes, Trans::No, -1.0, &c[idx], xt, 1.0, ext_ref);
+                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, &c[idx], xt, 1.0, ext_ref);
                                     }
                                 },
+                                None::<fn(&mut PackBuffer)>,
                             );
                         }
                         t.axpy(1.0, &ext);
-                        blas::trsm_with(&mut packs.diag, Side::Left, Triangle::Lower, Trans::Yes, &pf.l_diag[idx], &mut t);
+                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, &pf.l_diag[idx], &mut t);
                         xs[idx] = t;
                     }
                     (pf.p, xs)
@@ -1002,9 +867,6 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
             let (n, b, a) = *structure;
             let seps = partitioning.separators();
             let n_red = seps.len();
-            let split = sched == InteriorSchedule::Stealable
-                && b >= STEAL_MIN_BLOCK
-                && dalia_pool::current_num_threads() > 1;
             let reduced_sel = pobtasi(reduced);
             let mut inv = BtaMatrix::zeros(n, b, a);
 
@@ -1042,7 +904,8 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
                     let (s, e) = pf.interior;
                     let len = e - s;
                     let p = pf.p;
-                    let mut packs = InteriorPacks::new();
+                    let mut pack_lanes = PackLanes::default();
+                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
                     let has_left = p > 0;
                     let has_right = p + 1 < partitioning.num_partitions();
 
@@ -1075,7 +938,7 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
                         let is_last = idx + 1 == len;
                         let l_jj = &pf.l_diag[idx];
                         let mut l_inv = Matrix::identity(b);
-                        blas::trsm_with(&mut packs.diag, Side::Left, Triangle::Lower, Trans::No, l_jj, &mut l_inv);
+                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, l_jj, &mut l_inv);
 
                         let w_j = pf.l_left.get(idx);
                         let c_j = &pf.l_arrow[idx];
@@ -1089,110 +952,107 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
                         let mut sigma_below: Option<Matrix> = None;
                         let mut sigma_tip: Option<Matrix> = None;
                         {
-                            let InteriorPacks { left: pk_left, arrow: pk_arrow, schur: pk_schur, .. } =
-                                &mut packs;
                             let (sl_out, sb_out, st_out) =
                                 (&mut sigma_left, &mut sigma_below, &mut sigma_tip);
                             let li = &l_inv;
                             let nd = next_diag.as_ref();
                             let nl = next_left.as_ref();
                             let na = next_arrow.as_ref();
-                            run3(
-                                split,
+                            lanes.fork(
                                 // Σ_{ls,j}.
-                                move || {
+                                move |pk| {
                                     if has_left {
                                         let mut m = Matrix::zeros(b, b);
                                         if let (Some(bj), Some(nl)) = (b_j, nl) {
-                                            blas::gemm_with(pk_left, Trans::No, Trans::No, -1.0, nl, bj, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, nl, bj, 1.0, &mut m);
                                         }
                                         if let (Some(sll), Some(w)) = (sig_ls_ls, w_j) {
-                                            blas::gemm_with(pk_left, Trans::No, Trans::No, -1.0, sll, w, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, sll, w, 1.0, &mut m);
                                         }
                                         if let (Some(rj), Some(srl)) = (r_j, sig_rs_ls) {
                                             // Σ_{ls,rs} = Σ_{rs,ls}ᵀ.
-                                            blas::gemm_with(pk_left, Trans::Yes, Trans::No, -1.0, srl, rj, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, srl, rj, 1.0, &mut m);
                                         }
                                         if a > 0 {
                                             if let Some(stl) = sig_t_ls {
-                                                blas::gemm_with(pk_left, Trans::Yes, Trans::No, -1.0, stl, c_j, 1.0, &mut m);
+                                                blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, stl, c_j, 1.0, &mut m);
                                             }
                                         }
                                         let mut out = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk_left, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
                                         *sl_out = Some(out);
                                     }
                                 },
                                 // Σ_{j+1,j} (within partition) or Σ_{rs,j} (last column).
-                                move || {
+                                move |pk| {
                                     *sb_out = if let Some(bj) = b_j {
                                         let mut m = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk_schur, Trans::No, Trans::No, -1.0, nd.unwrap(), bj, 1.0, &mut m);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, -1.0, nd.unwrap(), bj, 1.0, &mut m);
                                         if let (Some(nl), Some(w)) = (nl, w_j) {
                                             // Σ_{j+1,ls} = Σ_{ls,j+1}ᵀ.
-                                            blas::gemm_with(pk_schur, Trans::Yes, Trans::No, -1.0, nl, w, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, nl, w, 1.0, &mut m);
                                         }
                                         if a > 0 {
-                                            blas::gemm_with(pk_schur, Trans::Yes, Trans::No, -1.0, na.unwrap(), c_j, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, na.unwrap(), c_j, 1.0, &mut m);
                                         }
                                         let mut out = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk_schur, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
                                         Some(out)
                                     } else if let Some(rj) = r_j {
                                         let mut m = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk_schur, Trans::No, Trans::No, -1.0, sig_rs_rs.unwrap(), rj, 1.0, &mut m);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, -1.0, sig_rs_rs.unwrap(), rj, 1.0, &mut m);
                                         if let (Some(srl), Some(w)) = (sig_rs_ls, w_j) {
-                                            blas::gemm_with(pk_schur, Trans::No, Trans::No, -1.0, srl, w, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, srl, w, 1.0, &mut m);
                                         }
                                         if a > 0 {
                                             if let Some(str_) = sig_t_rs {
-                                                blas::gemm_with(pk_schur, Trans::Yes, Trans::No, -1.0, str_, c_j, 1.0, &mut m);
+                                                blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, str_, c_j, 1.0, &mut m);
                                             }
                                         }
                                         let mut out = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk_schur, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
                                         Some(out)
                                     } else {
                                         None
                                     };
                                 },
                                 // Σ_{T,j}.
-                                move || {
+                                Some(move |pk: &mut PackBuffer| {
                                     if a > 0 {
                                         let mut m = Matrix::zeros(a, b);
                                         if let Some(bj) = b_j {
-                                            blas::gemm_with(pk_arrow, Trans::No, Trans::No, -1.0, na.unwrap(), bj, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, na.unwrap(), bj, 1.0, &mut m);
                                         }
                                         if let (Some(stl), Some(w)) = (sig_t_ls, w_j) {
-                                            blas::gemm_with(pk_arrow, Trans::No, Trans::No, -1.0, stl, w, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, stl, w, 1.0, &mut m);
                                         }
                                         if let (Some(str_), Some(rj)) = (sig_t_rs, r_j) {
-                                            blas::gemm_with(pk_arrow, Trans::No, Trans::No, -1.0, str_, rj, 1.0, &mut m);
+                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, str_, rj, 1.0, &mut m);
                                         }
-                                        blas::gemm_with(pk_arrow, Trans::No, Trans::No, -1.0, sig_tt, c_j, 1.0, &mut m);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, -1.0, sig_tt, c_j, 1.0, &mut m);
                                         let mut out = Matrix::zeros(a, b);
-                                        blas::gemm_with(pk_arrow, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
+                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
                                         *st_out = Some(out);
                                     }
-                                },
+                                }),
                             );
                         }
 
                         // Σ_{jj} = L_jj^{-T}(L_jj^{-1} − Σ_k L_{k,j}ᵀ Σ_{k,j}).
                         let mut inner = l_inv.clone();
                         if let (Some(bj), Some(sb)) = (b_j, sigma_below.as_ref()) {
-                            blas::gemm_with(&mut packs.diag, Trans::Yes, Trans::No, -1.0, bj, sb, 1.0, &mut inner);
+                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, bj, sb, 1.0, &mut inner);
                         }
                         if let (Some(rj), Some(sb)) = (r_j, sigma_below.as_ref()) {
-                            blas::gemm_with(&mut packs.diag, Trans::Yes, Trans::No, -1.0, rj, sb, 1.0, &mut inner);
+                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, rj, sb, 1.0, &mut inner);
                         }
                         if let (Some(w), Some(sl)) = (w_j, sigma_left.as_ref()) {
-                            blas::gemm_with(&mut packs.diag, Trans::Yes, Trans::No, -1.0, w, sl, 1.0, &mut inner);
+                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, w, sl, 1.0, &mut inner);
                         }
                         if let Some(st) = sigma_tip.as_ref() {
-                            blas::gemm_with(&mut packs.diag, Trans::Yes, Trans::No, -1.0, c_j, st, 1.0, &mut inner);
+                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, c_j, st, 1.0, &mut inner);
                         }
-                        blas::trsm_with(&mut packs.diag, Side::Left, Triangle::Lower, Trans::Yes, l_jj, &mut inner);
+                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, l_jj, &mut inner);
                         inner.symmetrize();
 
                         diag_out[idx] = inner.clone();
@@ -1260,6 +1120,8 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::pobtaf_with;
+    use crate::streaming::{pobtaf_retire_scheduled, StreamPacks};
     use crate::testing::{test_matrix, test_rhs};
 
     fn check_equivalence(n: usize, b: usize, a: usize, p: usize, lb: f64) {
@@ -1445,50 +1307,103 @@ mod tests {
         assert_factors_bitwise_equal(&stealable, &again, "stealable-rerun");
     }
 
+    /// Factor `m` through the forked column loop: [`pobtaf_retire_scheduled`]
+    /// refactorizes every column of the storage of a larger window, on
+    /// `pool`, with the stealable schedule.
+    fn forked_pobtaf(pool: &dalia_pool::ThreadPool, m: &BtaMatrix) -> BtaCholesky {
+        let mut f = pobtaf(&test_matrix(m.n + 1, m.b, m.a, 3)).unwrap();
+        let mut packs = StreamPacks::new();
+        pool.install(|| pobtaf_retire_scheduled(&mut f, m, &mut packs, InteriorSchedule::Stealable))
+            .unwrap();
+        f
+    }
+
     #[test]
     fn parallel_reduced_pobtaf_bitwise_matches_sequential() {
-        // The forked right-looking reduced-system factorization must agree
-        // with the sequential kernel to the last bit, with and without an
-        // arrow, and on a 1-thread pool (where it falls back outright).
+        // The forked column loop must agree with the inline loop of `pobtaf`
+        // and `pobtaf_with` to the last bit, with and without an arrow, on a
+        // 4-worker pool (where it forks) and a 1-worker pool (where it runs
+        // inline).
         let pool = dalia_pool::ThreadPool::new(4);
         let single = dalia_pool::ThreadPool::new(1);
         for (aa, seed) in [(3, 11), (0, 12)] {
             let m = test_matrix(5, STEAL_MIN_BLOCK + 16, aa, seed);
             let seq = pobtaf(&m).unwrap();
-            let par = pool.install(|| pobtaf_parallel(&m)).unwrap();
-            assert_chol_bitwise_equal(&par, &seq, &format!("pobtaf_parallel a={aa}"));
-            let one = single.install(|| pobtaf_parallel(&m)).unwrap();
-            assert_chol_bitwise_equal(&one, &seq, &format!("pobtaf_parallel 1T a={aa}"));
+            let warm = pobtaf_with(&m, None, &mut PackBuffer::new()).unwrap();
+            assert_chol_bitwise_equal(&warm, &seq, &format!("pobtaf_with a={aa}"));
+            let par = forked_pobtaf(&pool, &m);
+            assert_chol_bitwise_equal(&par, &seq, &format!("forked loop 4T a={aa}"));
+            let one = forked_pobtaf(&single, &m);
+            assert_chol_bitwise_equal(&one, &seq, &format!("forked loop 1T a={aa}"));
         }
-        // Below the fork cutoff the parallel entry point is the sequential
-        // kernel by definition.
+        // Below the fork cutoff the loop runs inline on any pool.
         let m = test_matrix(6, STEAL_MIN_BLOCK / 2, 2, 13);
-        let par = pool.install(|| pobtaf_parallel(&m)).unwrap();
-        assert_chol_bitwise_equal(&par, &pobtaf(&m).unwrap(), "pobtaf_parallel tiny");
+        assert_chol_bitwise_equal(&forked_pobtaf(&pool, &m), &pobtaf(&m).unwrap(), "tiny");
     }
 
     #[test]
     fn parallel_pobtaf_on_a_single_block_column_matches_sequential() {
-        // One block column has no trailing update to fork, so the column
-        // loop runs unforked even on a multi-worker pool.
-        let pool = dalia_pool::ThreadPool::new(4);
-        for aa in [0, 3] {
-            let m = test_matrix(1, STEAL_MIN_BLOCK + 8, aa, 17);
-            let par = pool.install(|| pobtaf_parallel(&m)).unwrap();
-            assert_chol_bitwise_equal(&par, &pobtaf(&m).unwrap(), &format!("n=1 a={aa}"));
+        // One block column has no trailing update to overlap, so the column
+        // loop runs inline even on a multi-worker pool.
+        for threads in [4, 1] {
+            let pool = dalia_pool::ThreadPool::new(threads);
+            for aa in [0, 3] {
+                let m = test_matrix(1, STEAL_MIN_BLOCK + 8, aa, 17);
+                let seq = pobtaf(&m).unwrap();
+                let tag = format!("n=1 {threads}T a={aa}");
+                assert_chol_bitwise_equal(&forked_pobtaf(&pool, &m), &seq, &tag);
+            }
         }
     }
 
     #[test]
-    fn tree_reduced_assembly_independent_of_worker_count() {
-        // 8 partitions give a 3-level Schur reduction tree; the sequential
-        // (1-thread) and forked (4-thread) reductions share the same pairing
-        // order, so the assembled reduced factor must agree bitwise.
+    fn linear_schur_assembly_independent_of_worker_count() {
+        // 8 partitions; the 1-thread and 4-thread runs sum the same Schur
+        // contributions in the same partition order, so the assembled
+        // reduced factor must agree bitwise.
         let m = test_matrix(16, 3, 2, 33);
         let part = Partitioning::load_balanced(16, 8, 1.0);
         let f1 = dalia_pool::ThreadPool::new(1).install(|| d_pobtaf(&m, &part)).unwrap();
         let f4 = dalia_pool::ThreadPool::new(4).install(|| d_pobtaf(&m, &part)).unwrap();
-        assert_factors_bitwise_equal(&f1, &f4, "tree-reduce worker count");
+        assert_factors_bitwise_equal(&f1, &f4, "linear assembly worker count");
+    }
+
+    #[test]
+    fn reduced_system_is_the_dense_schur_complement() {
+        // The assembled reduced system must be A_ss − A_si A_ii⁻¹ A_is, with
+        // s the separator and tip rows and i the interior rows, computed
+        // densely. Partition 1 of the last layout has an empty interior.
+        let b = 3;
+        let mut cases: Vec<(usize, Partitioning)> =
+            [2, 3, 8].iter().map(|&p| (3 * p, Partitioning::load_balanced(3 * p, p, 1.0))).collect();
+        cases.push((8, Partitioning::from_sizes(&[3, 1, 4])));
+        for (n, part) in &cases {
+            for aa in [0, 2] {
+                let m = test_matrix(*n, b, aa, 61);
+                let mut contribs: Vec<SchurContribution> = (0..part.num_partitions())
+                    .map(|p| factor_partition(&m, part, p, InteriorSchedule::Indivisible).unwrap().1)
+                    .collect();
+                let got = assemble_reduced(&m, part, &mut contribs).to_dense();
+
+                let seps = part.separators();
+                let blocks = |ks: Vec<usize>| ks.into_iter().flat_map(move |k| k * b..(k + 1) * b);
+                let s_idx: Vec<usize> = blocks(seps.clone()).chain(n * b..n * b + aa).collect();
+                let i_idx: Vec<usize> = blocks((0..*n).filter(|k| !seps.contains(k)).collect()).collect();
+                let dense = m.to_dense();
+                let pick = |rows: &[usize], cols: &[usize]| {
+                    Matrix::from_fn(rows.len(), cols.len(), |r, c| dense[(rows[r], cols[c])])
+                };
+                let l_ii = chol::cholesky(&pick(&i_idx, &i_idx)).unwrap();
+                let mut x = pick(&i_idx, &s_idx);
+                chol::potrs(&l_ii, &mut x);
+                let mut want = pick(&s_idx, &s_idx);
+                want.axpy(-1.0, &blas::matmul(&pick(&s_idx, &i_idx), &x));
+
+                let err = got.max_abs_diff(&want) / want.max_abs();
+                let p = part.num_partitions();
+                assert!(err <= 1e-12, "P={p} separators {seps:?} a={aa}: relative error {err:e}");
+            }
+        }
     }
 
     #[test]

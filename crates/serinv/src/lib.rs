@@ -26,7 +26,7 @@ pub mod testing;
 pub use bta::{BtaCholesky, BtaMatrix};
 pub use distributed::{
     d_pobtaf, d_pobtaf_scheduled, d_pobtas, d_pobtas_scheduled, d_pobtasi, d_pobtasi_scheduled,
-    pobtaf_parallel, DistBtaCholesky, InteriorSchedule, PartitionFactor,
+    DistBtaCholesky, InteriorSchedule, PartitionFactor,
 };
 pub use partition::Partitioning;
 pub use sequential::{

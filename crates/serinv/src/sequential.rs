@@ -26,9 +26,10 @@
 //! a transient buffer per call.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
+use crate::distributed::{factor_columns, Lanes};
 use crate::SerinvError;
 use dalia_la::blas::{self, PackBuffer, Side, Trans, Triangle};
-use dalia_la::{chol, Matrix};
+use dalia_la::Matrix;
 
 /// BTA Cholesky factorization (sequential reference implementation).
 ///
@@ -56,53 +57,8 @@ pub fn pobtaf_with(
         }
         _ => a.clone(),
     };
-    factor_in_place(&mut m, pack)?;
+    factor_columns(&mut m, 0, &mut Lanes::Inline(pack))?;
     Ok(BtaCholesky { blocks: m })
-}
-
-/// The factorization kernel: overwrite `m` with its block Cholesky factor.
-pub(crate) fn factor_in_place(m: &mut BtaMatrix, pack: &mut PackBuffer) -> Result<(), SerinvError> {
-    let n = m.n;
-    let has_arrow = m.a > 0;
-
-    for i in 0..n {
-        // Factorize the diagonal block: D_i = L_ii L_iiᵀ.
-        chol::potrf_with(pack, &mut m.diag[i]).map_err(|e| SerinvError::Factorization {
-            block: i,
-            source: e,
-        })?;
-        let (left, right) = m.diag.split_at_mut(i + 1);
-        let l_ii = &left[i];
-
-        // B_i := B_i L_ii^{-T}, C_i := C_i L_ii^{-T}.
-        if i + 1 < n {
-            blas::trsm_with(pack, Side::Right, Triangle::Lower, Trans::Yes, l_ii, &mut m.sub[i]);
-        }
-        if has_arrow {
-            blas::trsm_with(pack, Side::Right, Triangle::Lower, Trans::Yes, l_ii, &mut m.arrow[i]);
-        }
-
-        // Schur updates on the trailing blocks.
-        if i + 1 < n {
-            let b_i = &m.sub[i];
-            // D_{i+1} -= B_i B_iᵀ.
-            blas::syrk_full_with(pack, Trans::No, -1.0, b_i, 1.0, &mut right[0]);
-            if has_arrow {
-                // C_{i+1} -= C_i B_iᵀ.
-                let (arrow_left, arrow_right) = m.arrow.split_at_mut(i + 1);
-                blas::gemm_with(pack, Trans::No, Trans::Yes, -1.0, &arrow_left[i], b_i, 1.0, &mut arrow_right[0]);
-            }
-        }
-        if has_arrow {
-            // T -= C_i C_iᵀ.
-            blas::syrk_full_with(pack, Trans::No, -1.0, &m.arrow[i], 1.0, &mut m.tip);
-        }
-    }
-    if has_arrow {
-        chol::potrf_with(pack, &mut m.tip)
-            .map_err(|e| SerinvError::Factorization { block: n, source: e })?;
-    }
-    Ok(())
 }
 
 /// BTA triangular solve: solves `A X = B` given the factor from [`pobtaf`].

@@ -36,9 +36,9 @@
 //! factorization [`crate::pobtaf`] would issue for the recomputed regions,
 //! with bitwise-identical operands, so the extended factor is **bitwise
 //! identical** to a cold full factorization of the new window — at any
-//! thread count, since the forked schedule (mirroring
-//! [`crate::pobtaf_parallel`]) only moves disjoint-output subtasks between
-//! workers. Cost is `O((k + 1) b³ + n a b²)` against the cold `O(n b³)`.
+//! thread count, since both run the same column loop and its forked schedule
+//! only moves disjoint-output subtasks between workers. Cost is
+//! `O((k + 1) b³ + n a b²)` against the cold `O(n b³)`.
 //!
 //! [`pobtaf_retire`] handles the other edge of the window: dropping leading
 //! block columns invalidates *every* factor column (column 0's Schur
@@ -48,22 +48,21 @@
 //! appending incrementally.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
-use crate::distributed::{factor_columns, InteriorPacks, InteriorSchedule, STEAL_MIN_BLOCK};
+use crate::distributed::{factor_columns, InteriorSchedule, Lanes, PackLanes};
 use crate::SerinvError;
 use dalia_la::blas::{self, Side, Trans, Triangle};
 
 /// Reusable pack-buffer lanes for the streaming kernels: one per concurrent
 /// subtask of the forked column schedule, so a warm streaming session
-/// allocates nothing per window update. The lanes are the same four the
-/// stealable partition interiors use.
+/// allocates nothing per window update.
 pub struct StreamPacks {
-    packs: InteriorPacks,
+    lanes: PackLanes,
 }
 
 impl StreamPacks {
     /// Fresh (cold) pack lanes.
     pub fn new() -> Self {
-        StreamPacks { packs: InteriorPacks::new() }
+        StreamPacks { lanes: PackLanes::default() }
     }
 
     // No-op kept only because `perfbench/` calls it; goes with the next benchmark change.
@@ -98,8 +97,8 @@ pub fn pobtaf_extend(factor: &mut BtaCholesky, a_new: &BtaMatrix) -> Result<(), 
 /// [`pobtaf_extend`] with warm [`StreamPacks`] lanes and an explicit
 /// [`InteriorSchedule`]. The two schedules produce **bitwise identical**
 /// factors; `Stealable` forks the disjoint-output subtasks of each
-/// recomputed column onto the pool exactly as [`crate::pobtaf_parallel`]
-/// does.
+/// recomputed column onto the pool, as the reduced system of
+/// [`crate::d_pobtaf`] does.
 pub fn pobtaf_extend_scheduled(
     factor: &mut BtaCholesky,
     a_new: &BtaMatrix,
@@ -118,10 +117,7 @@ pub fn pobtaf_extend_scheduled(
     assert!(n_new > n_old, "pobtaf_extend: the new window must add at least one block column");
     let c0 = n_old - 1;
     let has_arrow = m.a > 0;
-    let split = sched == InteriorSchedule::Stealable
-        && m.b >= STEAL_MIN_BLOCK
-        && dalia_pool::current_num_threads() > 1;
-    let packs = &mut packs.packs;
+    let mut lanes = Lanes::new(&mut packs.lanes, sched, m.b, n_new - c0);
 
     // Grow the factor storage and overwrite the recomputed region with the
     // newly assembled values; columns 0 .. c0 keep their factor values.
@@ -154,7 +150,7 @@ pub fn pobtaf_extend_scheduled(
             if i > 0 {
                 let (head, tail) = m.arrow.split_at_mut(i);
                 blas::gemm_with(
-                    &mut packs.left,
+                    lanes.main(),
                     Trans::No,
                     Trans::Yes,
                     -1.0,
@@ -165,14 +161,14 @@ pub fn pobtaf_extend_scheduled(
                 );
             }
             blas::trsm_with(
-                &mut packs.arrow,
+                lanes.main(),
                 Side::Right,
                 Triangle::Lower,
                 Trans::Yes,
                 &m.diag[i],
                 &mut m.arrow[i],
             );
-            blas::syrk_full_with(&mut packs.schur, Trans::No, -1.0, &m.arrow[i], 1.0, &mut m.tip);
+            blas::syrk_full_with(lanes.main(), Trans::No, -1.0, &m.arrow[i], 1.0, &mut m.tip);
         }
     }
 
@@ -182,11 +178,11 @@ pub fn pobtaf_extend_scheduled(
         let (sub_head, _) = m.sub.split_at(c0);
         let b_prev = &sub_head[c0 - 1];
         let (_, diag_tail) = m.diag.split_at_mut(c0);
-        blas::syrk_full_with(&mut packs.diag, Trans::No, -1.0, b_prev, 1.0, &mut diag_tail[0]);
+        blas::syrk_full_with(lanes.main(), Trans::No, -1.0, b_prev, 1.0, &mut diag_tail[0]);
         if has_arrow {
             let (arrow_head, arrow_tail) = m.arrow.split_at_mut(c0);
             blas::gemm_with(
-                &mut packs.left,
+                lanes.main(),
                 Trans::No,
                 Trans::Yes,
                 -1.0,
@@ -198,7 +194,7 @@ pub fn pobtaf_extend_scheduled(
         }
     }
 
-    factor_columns(m, c0, packs, split)
+    factor_columns(m, c0, &mut lanes)
 }
 
 /// Retire leading block columns: refactorize `a_new` (the assembled matrix
@@ -236,11 +232,6 @@ pub fn pobtaf_retire_scheduled(
         a_new.n <= m.n,
         "pobtaf_retire: the new window must not be larger than the factor (use pobtaf_extend)"
     );
-    let split = sched == InteriorSchedule::Stealable
-        && m.b >= STEAL_MIN_BLOCK
-        && a_new.n > 1
-        && dalia_pool::current_num_threads() > 1;
-
     // Shrink the storage to the new window, keeping the allocations of the
     // surviving blocks, then overwrite with the new assembled values.
     m.diag.truncate(a_new.n);
@@ -249,12 +240,13 @@ pub fn pobtaf_retire_scheduled(
     m.n = a_new.n;
     m.copy_values_from(a_new);
 
-    factor_columns(m, 0, &mut packs.packs, split)
+    factor_columns(m, 0, &mut Lanes::new(&mut packs.lanes, sched, a_new.b, a_new.n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::STEAL_MIN_BLOCK;
     use crate::sequential::pobtaf;
     use crate::testing::test_matrix;
     use dalia_la::Matrix;

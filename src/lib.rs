@@ -77,7 +77,7 @@ pub mod prelude {
     pub use dalia_spde::{SpatialSpde, SpatioTemporalSpde, StHyper};
     pub use serinv::{
         d_pobtaf, d_pobtaf_scheduled, d_pobtas, d_pobtas_scheduled, d_pobtasi,
-        d_pobtasi_scheduled, pobtaf, pobtaf_parallel, pobtas, pobtasi, BtaMatrix,
+        d_pobtasi_scheduled, pobtaf, pobtas, pobtasi, BtaMatrix,
         InteriorSchedule, Partitioning,
     };
 }

@@ -45,16 +45,11 @@ fn toy_model(nv: usize) -> (Arc<CoregionalModel>, ThetaPrior, Vec<f64>) {
 }
 
 fn backends() -> Vec<(&'static str, InlaSettings)> {
-    let mut configs = vec![
+    vec![
         ("bta-sequential", InlaSettings::dalia(1)),
         ("bta-distributed", InlaSettings::dalia(2)),
         ("sparse-general", InlaSettings::rinla_like()),
-    ];
-    for (_, s) in configs.iter_mut() {
-        // The goldens were captured with sequential gradient lanes.
-        s.parallel_feval = false;
-    }
-    configs
+    ]
 }
 
 struct Golden {
@@ -185,7 +180,10 @@ fn gaussian_objective_and_gradient_match_pre_refactor_goldens() {
             assert_rel(&format!("{tag} logdet_qc"), r.logdet_qc, g.logdet_qc);
             assert_rel(&format!("{tag} loglik"), r.loglik, g.loglik);
 
-            let grad = dalia::core::evaluate_gradient(&session, &theta).unwrap();
+            // The goldens were captured with sequential gradient lanes.
+            let grad = dalia_pool::ThreadPool::new(1)
+                .install(|| dalia::core::evaluate_gradient(&session, &theta))
+                .unwrap();
             assert_eq!(grad.gradient.len(), g.grad.len());
             for (i, (got, want)) in grad.gradient.iter().zip(g.grad).enumerate() {
                 assert_rel(&format!("{tag} grad[{i}]"), *got, *want);

@@ -42,11 +42,9 @@ fn session(
     model: &Arc<CoregionalModel>,
     prior: &ThetaPrior,
     p: usize,
-    par: bool,
     iters: usize,
 ) -> InlaSession {
     let mut settings = InlaSettings::dalia(p);
-    settings.parallel_feval = par;
     settings.max_iter = iters;
     InlaEngine::builder(model).prior(prior.clone()).settings(settings).build().unwrap()
 }
@@ -135,11 +133,16 @@ fn assert_bits_eq(a: &[f64], b: &[f64], tag: &str) {
 
 fn check_trajectory(max_iter: usize) {
     let (model, prior, start) = toy_model();
+    let single = dalia_pool::ThreadPool::new(1);
     for p in [1, 2] {
         for par in [true, false] {
-            let tag = format!("max_iter={max_iter} P={p} parallel_feval={par}");
-            let want = replica(&session(&model, &prior, p, par, max_iter), &start);
-            let got = maximize_fobj(&session(&model, &prior, p, par, max_iter), &start).unwrap();
+            let tag = format!("max_iter={max_iter} P={p} parallel={par}");
+            let run = || {
+                let want = replica(&session(&model, &prior, p, max_iter), &start);
+                let got = maximize_fobj(&session(&model, &prior, p, max_iter), &start).unwrap();
+                (want, got)
+            };
+            let (want, got) = if par { run() } else { single.install(run) };
 
             assert_bits_eq(&got.theta, &want.theta, &format!("{tag} theta"));
             assert_eq!(got.value.to_bits(), want.value.to_bits(), "{tag} value");
@@ -175,7 +178,7 @@ fn backtracking_fixture_halves_the_step() {
     // The wall only means something if the line search actually backtracks
     // on this fixture: some accepted step must be shorter than 1.
     let (model, prior, start) = toy_model();
-    let got = maximize_fobj(&session(&model, &prior, 1, true, 8), &start).unwrap();
+    let got = maximize_fobj(&session(&model, &prior, 1, 8), &start).unwrap();
     assert!(got.trace.iter().any(|r| r.step > 0.0 && r.step < 1.0), "steps {:?}", got.trace);
 }
 
@@ -183,14 +186,14 @@ fn backtracking_fixture_halves_the_step() {
 fn run_matches_the_replica_pipeline() {
     let (model, prior, start) = toy_model();
     for p in [1, 2] {
-        let s = session(&model, &prior, p, true, 3);
+        let s = session(&model, &prior, p, 3);
         let want = replica(&s, &start);
         let hess = negative_hessian(&s, &want.theta).unwrap();
         let hyper = HyperMarginals::from_hessian(want.theta.clone(), &hess).unwrap();
         let mode = ModelHyper::from_theta(model.dims.nv, &want.theta);
         let latent = s.latent_marginals(&mode, want.mean.clone()).unwrap();
 
-        let got = session(&model, &prior, p, true, 3).run(&start).unwrap();
+        let got = session(&model, &prior, p, 3).run(&start).unwrap();
         assert_bits_eq(&got.hyper.mode, &hyper.mode, &format!("P={p} hyper.mode"));
         assert_bits_eq(&got.hyper.sd, &hyper.sd, &format!("P={p} hyper.sd"));
         assert_bits_eq(&got.latent.sd, &latent.sd, &format!("P={p} latent.sd"));

@@ -87,18 +87,17 @@ fn check_session_evaluation_reuse(d1: &[f64], d2: &[f64]) {
     for backend in backends() {
         let mut settings = InlaSettings::dalia(1);
         settings.backend = backend;
-        settings.parallel_feval = false;
         let reused = InlaEngine::builder(&model)
             .prior(prior.clone())
             .settings(settings.clone())
             .build()
             .unwrap();
-        let _ = reused.evaluate(&theta_a).unwrap();
-        let via_reused = reused.evaluate(&theta_b).unwrap();
-
         let fresh =
             InlaEngine::builder(&model).prior(prior.clone()).settings(settings).build().unwrap();
-        let via_fresh = fresh.evaluate(&theta_b).unwrap();
+        let (via_reused, via_fresh) = dalia_pool::ThreadPool::new(1).install(|| {
+            let _ = reused.evaluate(&theta_a).unwrap();
+            (reused.evaluate(&theta_b).unwrap(), fresh.evaluate(&theta_b).unwrap())
+        });
 
         assert_eq!(via_reused.value.to_bits(), via_fresh.value.to_bits());
         assert_eq!(via_reused.logdet_qp.to_bits(), via_fresh.logdet_qp.to_bits());
@@ -121,25 +120,21 @@ fn check_parallel_vs_sequential_session(d: &[f64]) {
     let prior = ThetaPrior::weakly_informative(&theta0, 3.0);
 
     for backend in backends() {
-        let mut par_settings = InlaSettings::dalia(1);
-        par_settings.backend = backend;
-        par_settings.parallel_feval = true;
-        let mut seq_settings = par_settings.clone();
-        seq_settings.parallel_feval = false;
+        let mut settings = InlaSettings::dalia(1);
+        settings.backend = backend;
 
         let par_session = InlaEngine::builder(&model)
             .prior(prior.clone())
-            .settings(par_settings)
+            .settings(settings.clone())
             .build()
             .unwrap();
-        let seq_session = InlaEngine::builder(&model)
-            .prior(prior.clone())
-            .settings(seq_settings)
-            .build()
-            .unwrap();
+        let seq_session =
+            InlaEngine::builder(&model).prior(prior.clone()).settings(settings).build().unwrap();
 
         let g_par = dalia_core::evaluate_gradient(&par_session, &theta).unwrap();
-        let g_seq = dalia_core::evaluate_gradient(&seq_session, &theta).unwrap();
+        let g_seq = dalia_pool::ThreadPool::new(1)
+            .install(|| dalia_core::evaluate_gradient(&seq_session, &theta))
+            .unwrap();
 
         let tag = format!("parallel-vs-sequential [{backend:?}]");
         assert_eq!(g_par.value.to_bits(), g_seq.value.to_bits(), "{tag}: objective value");

@@ -118,10 +118,11 @@ impl PhaseTimers {
 /// panic if none has happened yet.
 ///
 /// The trait is `Send + Sync`: the mutable entry points (`factorize`,
-/// `solve_mean`, `selected_inverse_diag`) naturally serialize through `&mut`,
-/// while the read-only [`solve_many`](Self::solve_many) path can be shared
-/// across threads once a factorization exists — the property the serving
-/// layer's [`PosteriorSnapshot`](crate::snapshot::PosteriorSnapshot) builds on.
+/// `solve_mean`, `selected_inverse_diag`) serialize through `&mut`, and a
+/// solver can move to, or be read from, any thread. Concurrent serving does
+/// not solve against the solver itself: it takes an owned copy of the factor
+/// ([`snapshot_factor`](Self::snapshot_factor)) and solves against that
+/// ([`SnapshotFactor::solve_many`](crate::snapshot::SnapshotFactor::solve_many)).
 pub trait LatentSolver: Send + Sync {
     /// Short backend name for reports and diagnostics.
     fn backend_name(&self) -> &'static str;
@@ -203,15 +204,6 @@ pub trait LatentSolver: Send + Sync {
 
     /// Solve `Q_c μ = rhs` (the conditional-mean system).
     fn solve_mean(&mut self, rhs: &[f64]) -> Vec<f64>;
-
-    /// Read-only blocked multi-RHS solve `Q_c X = B` against the conditional
-    /// factor of the last `factorize`/`factorize_conditional`, overwriting
-    /// `rhs` (one right-hand side per column) with the solution.
-    ///
-    /// Takes `&self`, so any number of threads may solve concurrently against
-    /// one factorization. Because of that it does not touch the (mutably
-    /// accumulated) phase timers; read-heavy callers time themselves.
-    fn solve_many(&self, rhs: &mut Matrix);
 
     /// Extract an owned, backend-independent copy of the conditional factor
     /// (and nothing else) for read-only serving — the factor half of a
@@ -632,10 +624,6 @@ impl LatentSolver for BtaSolver {
         out
     }
 
-    fn solve_many(&self, rhs: &mut Matrix) {
-        d_pobtas(self.fc.as_ref().expect("LatentSolver: factorize must be called first"), rhs);
-    }
-
     fn snapshot_factor(&self) -> Result<SnapshotFactor, CoreError> {
         match self.fc.as_ref().expect("LatentSolver: factorize must be called first") {
             DistBtaCholesky::Sequential(f) => Ok(SnapshotFactor::Bta(f.clone())),
@@ -845,16 +833,6 @@ impl LatentSolver for SparseCholeskySolver {
         let out = fc.solve(rhs);
         self.timers.solve_seconds += t0.elapsed().as_secs_f64();
         out
-    }
-
-    fn solve_many(&self, rhs: &mut Matrix) {
-        let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
-        // The sparse backend's triangular solves are vector-shaped; apply them
-        // column by column (the blocked path is the BTA backends' specialty).
-        for j in 0..rhs.ncols() {
-            let x = fc.solve(rhs.col(j));
-            rhs.col_mut(j).copy_from_slice(&x);
-        }
     }
 
     fn snapshot_factor(&self) -> Result<SnapshotFactor, CoreError> {
@@ -1310,22 +1288,6 @@ mod tests {
             })
             .collect();
         assert_eq!(logdets[0], logdets[1], "both snapshots factor the same Q_c sequentially");
-    }
-
-    #[test]
-    fn solve_many_matches_solve_mean_for_every_partition_count() {
-        let (model, hyper) = toy_model(2);
-        for partitions in [1, 3] {
-            let mut solver = SolverBackend::Bta { partitions, load_balance: 1.3 }.build(&model);
-            solver.factorize(&hyper).unwrap();
-            let info = model.information_vector(&hyper, solver.design());
-            let mean = solver.solve_mean(&info);
-            let mut many = Matrix::col_vector(&info);
-            solver.solve_many(&mut many);
-            for (a, b) in mean.iter().zip(many.col(0)) {
-                assert_eq!(a.to_bits(), b.to_bits(), "P={partitions}");
-            }
-        }
     }
 
     #[test]

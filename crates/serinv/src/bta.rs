@@ -228,6 +228,25 @@ impl BtaMatrix {
         y
     }
 
+    /// Add `ln` of every diagonal entry of the factor blocks to `s`, block
+    /// by block (the tip last, with `tip`), for factor blocks whose block `j`
+    /// is block `first + j` of the whole matrix. A zero, negative or
+    /// non-finite pivot is [`SerinvError::IndefiniteLogdet`] with its global
+    /// block index (the tip's is `first + n`).
+    pub(crate) fn add_log_pivots(&self, first: usize, tip: bool, s: &mut f64) -> Result<(), SerinvError> {
+        let tip = tip.then_some(&self.tip);
+        for (j, d) in self.diag.iter().chain(tip).enumerate() {
+            for i in 0..d.nrows() {
+                let v = d[(i, i)];
+                if !(v > 0.0) || !v.is_finite() {
+                    return Err(SerinvError::IndefiniteLogdet { block: first + j, index: i, value: v });
+                }
+                *s += v.ln();
+            }
+        }
+        Ok(())
+    }
+
     /// Estimated number of floating point operations of a BTA Cholesky
     /// factorization (Sec. IV-C: `O(n·(b³ + a³))` leading terms).
     pub fn factorization_flops(&self) -> u64 {
@@ -260,26 +279,7 @@ impl BtaCholesky {
     /// [`SerinvError::IndefiniteLogdet`].
     pub fn logdet(&self) -> Result<f64, SerinvError> {
         let mut s = 0.0;
-        for (block, d) in self.blocks.diag.iter().enumerate() {
-            for i in 0..self.blocks.b {
-                let v = d[(i, i)];
-                if !(v > 0.0) || !v.is_finite() {
-                    return Err(SerinvError::IndefiniteLogdet { block, index: i, value: v });
-                }
-                s += v.ln();
-            }
-        }
-        for i in 0..self.blocks.a {
-            let v = self.blocks.tip[(i, i)];
-            if !(v > 0.0) || !v.is_finite() {
-                return Err(SerinvError::IndefiniteLogdet {
-                    block: self.blocks.n,
-                    index: i,
-                    value: v,
-                });
-            }
-            s += v.ln();
-        }
+        self.blocks.add_log_pivots(0, true, &mut s)?;
         Ok(2.0 * s)
     }
 

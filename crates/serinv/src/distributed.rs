@@ -23,6 +23,26 @@
 //! sequential kernels, so the distributed results stay independent of the
 //! worker count.
 //!
+//! # One sweep per phase
+//!
+//! Each phase has one loop over block columns, and a monolithic factor is its
+//! no-separator case:
+//!
+//! * **Factorization** — `factor_columns` eliminates block columns in place.
+//!   A partition interior is copied once into its own [`BtaMatrix`] and runs
+//!   the same loop with its separator couplings (left fill `W_j`, right
+//!   coupling `R`) and Schur accumulators; its `tip` collects the
+//!   partition's `−Σ C_j C_jᵀ` update to the arrow tip and is never
+//!   factorized. [`pobtaf`], the reduced system, and the streaming kernels
+//!   run the loop with no separators and factorize the tip.
+//! * **Solve and selected inversion** — `Span` is one run of factor columns
+//!   with an optional left and right separator, and its three sweeps
+//!   (`forward`, `backward`, `selected_inverse`) are the only forward
+//!   substitution, backward substitution and selected-inversion loops in
+//!   this crate. [`pobtas`], `pobtas_lt` and [`pobtasi`] run them over the
+//!   whole factor with no separators, inline on one buffer; the tip solve and
+//!   the tip inverse stay with those callers.
+//!
 //! # Stealable partition interiors
 //!
 //! Since pool v2 a partition interior is no longer one indivisible task:
@@ -30,19 +50,19 @@
 //! every interior block column as `join`-structured subtasks
 //! ([`InteriorSchedule::Stealable`]). In the factorization the diagonal
 //! `potrf` stays on the critical path, then the three independent `trsm`
-//! solves against `L_jjᵀ` (sub-diagonal coupling, left-separator fill `W`,
-//! arrow panel `C`) fork as one join group, and the Schur accumulation /
-//! next-column propagation (which touch disjoint output blocks) fork as a
-//! second. The solve forks the three separator/tip right-hand-side
-//! accumulations per column, and the selected inversion forks the three
-//! independent selected-inverse columns (`Σ_{ls,j}`, `Σ_{j+1,j}`/`Σ_{rs,j}`,
-//! `Σ_{T,j}`) between the `L_jj⁻¹` solve and the diagonal recovery. Each
-//! subtask owns a dedicated [`PackBuffer`] lane so the packed micro-kernels
-//! never contend for workspace. An idle worker can therefore steal *inside*
-//! a single huge partition — the skewed 1-big/N-tiny layout that used to
-//! serialize the whole S3 fan-out now scales (see `pool_bench`'s
-//! skewed-partition scenario and the watchdogged stress test in
-//! `crates/hpc/tests/pool_stress.rs`).
+//! solves against `L_jjᵀ` (sub-diagonal coupling, arrow panel `C`,
+//! left-separator fill `W`) fork as one join group, and the Schur
+//! accumulation / next-column propagation (which touch disjoint output
+//! blocks) fork as a second. The solve forks the three separator/tip
+//! right-hand-side accumulations per column, and the selected inversion forks
+//! the three independent selected-inverse columns (`Σ_{ls,j}`,
+//! `Σ_{j+1,j}`/`Σ_{rs,j}`, `Σ_{T,j}`) between the `L_jj⁻¹` solve and the
+//! diagonal recovery. Each subtask owns a dedicated [`PackBuffer`] lane so
+//! the packed micro-kernels never contend for workspace. An idle worker can
+//! therefore steal *inside* a single huge partition — the skewed
+//! 1-big/N-tiny layout that used to serialize the whole S3 fan-out now
+//! scales (see `pool_bench`'s skewed-partition scenario and the watchdogged
+//! stress test in `crates/hpc/tests/pool_stress.rs`).
 //!
 //! Splitting changes only *where* each block operation runs, never its
 //! operand values or kernel call sequence, so the factors, solutions and
@@ -56,33 +76,31 @@
 //! * **Schur assembly** is a linear sum in partition order: reduced block `k`
 //!   takes partition `k`'s right-separator update plus partition `k + 1`'s
 //!   left-separator update, summed first and subtracted once, and the tip
-//!   sums every partition's update left to right. The order is a function of
-//!   `P` alone, so the reduced matrix is bitwise independent of the worker
-//!   count.
+//!   adds every partition's (negative) update left to right, then `T`. The
+//!   order is a function of `P` alone, so the reduced matrix is bitwise
+//!   independent of the worker count.
 //! * **Reduced-system factorization** runs through the same column loop as
-//!   [`pobtaf`] (`factor_columns`): under [`InteriorSchedule::Stealable`] the
-//!   right-looking trailing updates of each reduced block column (the `trsm`
-//!   pair, then the `syrk`/`gemm`/`syrk` Schur and arrow updates) fork as
-//!   join groups with per-subtask [`PackBuffer`] lanes, exactly like the
-//!   stealable interiors. Small blocks, a single reduced column or a 1-thread
-//!   pool run the column steps inline; either way the factor is bitwise
-//!   identical to [`pobtaf`]'s.
+//!   [`pobtaf`]: under [`InteriorSchedule::Stealable`] the right-looking
+//!   trailing updates of each reduced block column (the `trsm` pair, then the
+//!   `syrk`/`gemm`/`syrk` Schur and arrow updates) fork as join groups with
+//!   per-subtask [`PackBuffer`] lanes, exactly like the stealable interiors.
+//!   Small blocks, a single reduced column or a 1-thread pool run the column
+//!   steps inline; either way the factor is bitwise identical to
+//!   [`pobtaf`]'s.
 //!
-//! The three phases mirror their sequential counterparts and compute the same
-//! paper quantities (`log |Q|`, `Q⁻¹ r`, `diag(Q⁻¹)`):
+//! The three phases compute the same paper quantities as the monolithic
+//! kernels (`log |Q|`, `Q⁻¹ r`, `diag(Q⁻¹)`):
 //!
-//! 1. **`d_pobtaf`** — per-partition interior elimination (parallel), the
-//!    Schur assembly onto the separators/tip, then the forked column loop
-//!    over the reduced `(P−1)`-block BTA system — the stage whose sequential
-//!    cost bounds the scalability the paper's Fig. 5 measures.
-//! 2. **`d_pobtas`** — parallel forward substitution on the interiors (with
-//!    forked separator/tip accumulations per column), the reduced-system
-//!    solve, and a parallel backward pass (with the carried sub-diagonal
-//!    term and the separator/tip back-couplings forked per column).
-//! 3. **`d_pobtasi`** — selected inversion of the reduced system followed by
-//!    an independent backward sweep per partition (pure `trsm`/`syrk`/`gemm`
-//!    block work), the three selected-inverse columns forked per block
-//!    column.
+//! 1. **`d_pobtaf`** — the column loop on every partition interior
+//!    (parallel), the Schur assembly onto the separators/tip, then the column
+//!    loop on the reduced `(P−1)`-block BTA system — the stage whose
+//!    sequential cost bounds the scalability the paper's Fig. 5 measures.
+//! 2. **`d_pobtas`** — the forward sweep on every interior (parallel), the
+//!    monolithic solve of the reduced system, and the backward sweep on every
+//!    interior (parallel).
+//! 3. **`d_pobtasi`** — the monolithic selected inversion of the reduced
+//!    system, then the selected-inversion sweep on every interior
+//!    (parallel).
 //!
 //! Every partition task owns three [`PackBuffer`] lanes, one per subtask of
 //! its widest join group, so the packed micro-kernels in `dalia_la::blas`
@@ -105,20 +123,26 @@ pub struct PartitionFactor {
     pub p: usize,
     /// Global half-open range `[s, e)` of interior blocks.
     pub interior: (usize, usize),
-    /// `L_jj` for every interior block.
-    pub l_diag: Vec<Matrix>,
-    /// `L_{j+1,j}` between consecutive interior blocks.
-    pub l_sub: Vec<Matrix>,
-    /// `L_{ls,j}` coupling to the left separator (empty for partition 0).
-    pub l_left: Vec<Matrix>,
-    /// `L_{rs, e-1}` coupling of the last interior block to the right
+    /// The interior's factor blocks in BTA layout (`blocks.n = e − s`):
+    /// `L_jj`, `L_{j+1,j}` and `L_{T,j}`. Its `tip` is no factor block: it
+    /// holds the partition's update `−Σ_j L_{T,j} L_{T,j}ᵀ` to the arrow tip.
+    pub blocks: BtaMatrix,
+    /// `L_{ls,j}` coupling every interior block to the left separator (empty
+    /// for partition 0 and empty interiors).
+    pub left: Vec<Matrix>,
+    /// `L_{rs,e−1}` coupling of the last interior block to the right
     /// separator (absent for the last partition or empty interiors).
-    pub l_right: Option<Matrix>,
-    /// `L_{T,j}` arrow coupling for every interior block.
-    pub l_arrow: Vec<Matrix>,
+    pub right: Option<Matrix>,
 }
 
-/// Schur-complement contribution of one partition onto the reduced system.
+impl PartitionFactor {
+    fn span(&self) -> Span<'_> {
+        Span { blocks: &self.blocks, start: self.interior.0, left: &self.left, right: self.right.as_ref() }
+    }
+}
+
+/// Schur-complement updates of one partition onto the separator blocks of
+/// the reduced system; its tip update is [`PartitionFactor::blocks`]' tip.
 #[derive(Clone, Debug)]
 struct SchurContribution {
     /// Update to the left-separator diagonal block.
@@ -131,8 +155,24 @@ struct SchurContribution {
     s_al: Option<Matrix>,
     /// Update to the (tip, right-separator) arrow block.
     s_ar: Option<Matrix>,
-    /// Update to the arrow tip.
-    s_tt: Matrix,
+}
+
+impl SchurContribution {
+    /// Add one interior column's products `W Wᵀ`, `R Rᵀ`, `R Wᵀ`, `C Wᵀ` and
+    /// `C Rᵀ` for whichever of its left fill `w`, right coupling `r` and
+    /// arrow panel `c` the column has.
+    fn accumulate(&mut self, pk: &mut PackBuffer, w: Option<&Matrix>, r: Option<&Matrix>, c: Option<&Matrix>) {
+        for (s, x) in [(&mut self.s_ll, w), (&mut self.s_rr, r)] {
+            if let (Some(s), Some(x)) = (s.as_mut(), x) {
+                blas::syrk_full_with(pk, Trans::No, 1.0, x, 1.0, s);
+            }
+        }
+        for (s, x, y) in [(&mut self.s_rl, r, w), (&mut self.s_al, c, w), (&mut self.s_ar, c, r)] {
+            if let (Some(s), Some(x), Some(y)) = (s.as_mut(), x, y) {
+                blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, x, y, 1.0, s);
+            }
+        }
+    }
 }
 
 /// Distributed BTA Cholesky factorization.
@@ -166,19 +206,7 @@ impl DistBtaCholesky {
             DistBtaCholesky::Partitioned { partitions, reduced, .. } => {
                 let mut s = 0.0;
                 for pf in partitions {
-                    for (j, d) in pf.l_diag.iter().enumerate() {
-                        for i in 0..d.nrows() {
-                            let v = d[(i, i)];
-                            if !(v > 0.0) || !v.is_finite() {
-                                return Err(SerinvError::IndefiniteLogdet {
-                                    block: pf.interior.0 + j,
-                                    index: i,
-                                    value: v,
-                                });
-                            }
-                            s += v.ln();
-                        }
-                    }
+                    pf.blocks.add_log_pivots(pf.interior.0, false, &mut s)?;
                 }
                 Ok(2.0 * s + reduced.logdet()?)
             }
@@ -292,58 +320,90 @@ impl<'a> Lanes<'a> {
     }
 }
 
-/// The block Cholesky column loop behind every monolithic BTA factorization
-/// ([`pobtaf`], the reduced system of [`d_pobtaf`], the streaming kernels):
-/// eliminate block columns `start .. n` of `m` in place (plus the arrow tip),
-/// assuming columns `0 .. start` already hold factor values and the working
-/// blocks of column `start` carry all Schur updates from them.
+/// The separator couplings a partition interior carries through
+/// [`factor_columns`].
+pub(crate) struct Separators<'a> {
+    /// Global index of the interior's first block column, for error reports.
+    first: usize,
+    /// Left-separator fill `W_j`, one per column, or empty without a left
+    /// separator: `W_0` holds the original coupling, the rest are
+    /// overwritten by `W_{j+1} = −W_j L_{j+1,j}ᵀ`.
+    left: &'a mut [Matrix],
+    /// Right-separator coupling `R` of the last column.
+    right: Option<&'a mut Matrix>,
+    /// Accumulators of the Schur updates onto the separators.
+    schur: &'a mut SchurContribution,
+}
+
+/// `x := x L⁻ᵀ` for an `x` that exists, as a join-group subtask.
+fn divide_lt<'a>(l: &'a Matrix, x: Option<&'a mut Matrix>) -> impl FnOnce(&mut PackBuffer) + Send + 'a {
+    move |pk| {
+        if let Some(x) = x {
+            blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, x);
+        }
+    }
+}
+
+/// The block Cholesky column loop behind every BTA factorization: eliminate
+/// block columns `start .. n` of `m` in place, assuming columns `0 .. start`
+/// already hold factor values and the working blocks of column `start` carry
+/// all Schur updates from them.
 ///
-/// Per column the diagonal `potrf` stays on the critical path; the two
-/// independent `trsm` solves against `L_iiᵀ` (sub-diagonal `B_i`, arrow
-/// panel `C_i`) form one join group, and the three trailing updates with
-/// disjoint outputs (`D_{i+1} −= B_i B_iᵀ`, `C_{i+1} −= C_i B_iᵀ`,
-/// `T −= C_i C_iᵀ`) a second. Inline and forked `lanes` issue the same kernel
-/// calls on the same operands, so the factor is bitwise independent of the
-/// schedule and of the worker count.
+/// Without `seps` (a monolithic factor: [`pobtaf`], the reduced system of
+/// [`d_pobtaf`], the streaming kernels) the loop ends with the tip `potrf`.
+/// With `seps` (a partition interior) the last column's coupling is the
+/// right separator's `R`, every column also carries its left-separator fill
+/// `W_j`, and the Schur updates onto the separators accumulate alongside
+/// `T −= C_i C_iᵀ`; the tip then holds the partition's tip update and is not
+/// factorized.
+///
+/// Per column the diagonal `potrf` stays on the critical path; the
+/// independent `trsm` solves against `L_iiᵀ` (sub-diagonal `B_i` or `R`,
+/// arrow panel `C_i`, fill `W_i`) form one join group, and the trailing
+/// updates with disjoint outputs (`D_{i+1} −= B_i B_iᵀ`;
+/// `C_{i+1} −= C_i B_iᵀ` and `W_{i+1} = −W_i B_iᵀ`; `T −= C_i C_iᵀ` and the
+/// separator updates) a second. Inline and forked `lanes` issue the same
+/// kernel calls on the same operands, so the factor is bitwise independent
+/// of the schedule and of the worker count.
 pub(crate) fn factor_columns(
     m: &mut BtaMatrix,
     start: usize,
     lanes: &mut Lanes,
+    seps: Option<Separators>,
 ) -> Result<(), SerinvError> {
     let n = m.n;
     let has_arrow = m.a > 0;
+    let monolithic = seps.is_none();
+    let (first, left, mut right, mut schur) = match seps {
+        Some(s) => (s.first, s.left, s.right, Some(s.schur)),
+        None => (0, &mut [][..], None, None),
+    };
     for i in start..n {
+        let last = i + 1 == n;
         // D_i = L_ii L_iiᵀ — the critical path of the column.
         chol::potrf_with(lanes.main(), &mut m.diag[i])
-            .map_err(|e| SerinvError::Factorization { block: i, source: e })?;
+            .map_err(|e| SerinvError::Factorization { block: first + i, source: e })?;
 
-        // B_i := B_i L_ii⁻ᵀ ∥ C_i := C_i L_ii⁻ᵀ (disjoint outputs).
         let l_ii = &m.diag[i];
-        let sub_rhs = if i + 1 < n { Some(&mut m.sub[i]) } else { None };
-        let arrow_rhs = if has_arrow { Some(&mut m.arrow[i]) } else { None };
+        let below = if last { right.as_deref_mut() } else { Some(&mut m.sub[i]) };
+        let arrow = if has_arrow { Some(&mut m.arrow[i]) } else { None };
         lanes.fork(
-            move |pk| {
-                if let Some(bi) = sub_rhs {
-                    blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l_ii, bi);
-                }
-            },
-            move |pk| {
-                if let Some(ci) = arrow_rhs {
-                    blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l_ii, ci);
-                }
-            },
-            None::<fn(&mut PackBuffer)>,
+            divide_lt(l_ii, below),
+            divide_lt(l_ii, arrow),
+            left.get_mut(i).map(|w| divide_lt(l_ii, Some(w))),
         );
 
-        // Trailing updates: D_{i+1}, C_{i+1} and the tip are disjoint.
         let (_, diag_tail) = m.diag.split_at_mut(i + 1);
-        let arrow_mid = (i + 1).min(m.arrow.len());
-        let (arrow_head, arrow_tail) = m.arrow.split_at_mut(arrow_mid);
-        let b_i = if i + 1 < n { Some(&m.sub[i]) } else { None };
+        let (arrow_head, arrow_tail) = m.arrow.split_at_mut(i + 1);
+        let (left_head, left_tail) = left.split_at_mut((i + 1).min(left.len()));
+        let b_i = if last { None } else { Some(&m.sub[i]) };
         let c_i = if has_arrow { Some(&arrow_head[i]) } else { None };
-        let next_diag = if i + 1 < n { Some(&mut diag_tail[0]) } else { None };
-        let next_arrow = if has_arrow && i + 1 < n { Some(&mut arrow_tail[0]) } else { None };
-        let tip = if has_arrow { Some(&mut m.tip) } else { None };
+        let w_i = left_head.get(i);
+        let r = if last { right.as_deref() } else { None };
+        let next_diag = diag_tail.first_mut();
+        let next_arrow = if has_arrow { arrow_tail.first_mut() } else { None };
+        let next_left = left_tail.first_mut();
+        let (tip, schur) = (&mut m.tip, schur.as_deref_mut());
         lanes.fork(
             move |pk| {
                 if let (Some(nd), Some(bi)) = (next_diag, b_i) {
@@ -354,206 +414,86 @@ pub(crate) fn factor_columns(
                 if let (Some(na), Some(ci), Some(bi)) = (next_arrow, c_i, b_i) {
                     blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, ci, bi, 1.0, na);
                 }
+                if let (Some(nl), Some(wi), Some(bi)) = (next_left, w_i, b_i) {
+                    blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, wi, bi, 0.0, nl);
+                }
             },
             Some(move |pk: &mut PackBuffer| {
-                if let (Some(t), Some(ci)) = (tip, c_i) {
-                    blas::syrk_full_with(pk, Trans::No, -1.0, ci, 1.0, t);
+                if let Some(ci) = c_i {
+                    blas::syrk_full_with(pk, Trans::No, -1.0, ci, 1.0, tip);
+                }
+                if let Some(s) = schur {
+                    s.accumulate(pk, w_i, r, c_i);
                 }
             }),
         );
     }
-    if has_arrow {
+    if has_arrow && monolithic {
         chol::potrf_with(lanes.main(), &mut m.tip)
             .map_err(|e| SerinvError::Factorization { block: n, source: e })?;
     }
     Ok(())
 }
 
-/// Interior elimination of one partition. Returns the partition factor and its
-/// Schur contribution to the reduced system.
-///
-/// With [`InteriorSchedule::Stealable`] the per-column trailing-update DAG is
-/// forked into pool subtasks (see the module docs); the kernel calls and
-/// their operands are identical in both schedules, so the factors match
-/// bitwise.
-fn factor_partition(
+/// Interior elimination of partition `p`: its blocks are copied once into a
+/// BTA matrix of their own and eliminated in place by [`factor_columns`]
+/// with the partition's separator couplings. Returns the partition factor
+/// and its Schur updates onto the separators.
+fn factor_interior(
     a: &BtaMatrix,
     part: &Partitioning,
     p: usize,
     sched: InteriorSchedule,
 ) -> Result<(PartitionFactor, SchurContribution), SerinvError> {
     let (s, e) = part.interior(p);
-    let num_parts = part.num_partitions();
-    let b = a.b;
-    let aa = a.a;
+    let (len, b, aa) = (e - s, a.b, a.a);
     let has_left = p > 0;
-    let has_right = p + 1 < num_parts;
-    let has_arrow = aa > 0;
-
-    let len = e.saturating_sub(s);
-    let mut l_diag = Vec::with_capacity(len);
-    let mut l_sub = Vec::with_capacity(len.saturating_sub(1));
-    let mut l_left = Vec::with_capacity(if has_left { len } else { 0 });
-    let mut l_arrow = Vec::with_capacity(len);
-    let mut l_right = None;
-
+    let has_right = p + 1 < part.num_partitions();
+    let mut blocks = BtaMatrix {
+        n: len,
+        b,
+        a: aa,
+        diag: a.diag[s..e].to_vec(),
+        sub: a.sub[s..s + len.saturating_sub(1)].to_vec(),
+        arrow: a.arrow[s..e].to_vec(),
+        tip: Matrix::zeros(aa, aa),
+    };
+    // The first interior column couples to the left separator through
+    // `B_{s−1}ᵀ` (the separator is eliminated later); the fill of the later
+    // columns starts from zero.
+    let mut left: Vec<Matrix> = if has_left && len > 0 {
+        (s..e).map(|j| if j == s { a.sub[s - 1].transpose() } else { Matrix::zeros(b, b) }).collect()
+    } else {
+        Vec::new()
+    };
+    let mut right = (has_right && len > 0).then(|| a.sub[e - 1].clone());
+    let zeros = |rows: usize, on: bool| on.then(|| Matrix::zeros(rows, b));
+    let mut schur = SchurContribution {
+        s_ll: zeros(b, has_left),
+        s_rr: zeros(b, has_right),
+        s_rl: zeros(b, has_left && has_right),
+        s_al: zeros(aa, has_left),
+        s_ar: zeros(aa, has_right),
+    };
+    let seps = Separators { first: s, left: &mut left, right: right.as_mut(), schur: &mut schur };
     let mut pack_lanes = PackLanes::default();
-    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
-    let mut s_ll = if has_left { Some(Matrix::zeros(b, b)) } else { None };
-    let mut s_rr = if has_right { Some(Matrix::zeros(b, b)) } else { None };
-    let mut s_rl = if has_left && has_right { Some(Matrix::zeros(b, b)) } else { None };
-    let mut s_al = if has_left { Some(Matrix::zeros(aa, b)) } else { None };
-    let mut s_ar = if has_right { Some(Matrix::zeros(aa, b)) } else { None };
-    let mut s_tt = Matrix::zeros(aa, aa);
-
-    // Working copies of the current column's blocks.
-    let mut diag_work = if len > 0 { a.diag[s].clone() } else { Matrix::zeros(0, 0) };
-    // Coupling of the first interior block to the left separator: Qᵀ of the
-    // original sub-diagonal block B_{s-1} (the entry sits in the interior
-    // column because the separator is eliminated later).
-    let mut left_work = if has_left && len > 0 { Some(a.sub[s - 1].transpose()) } else { None };
-    let mut arrow_work = if len > 0 { a.arrow[s].clone() } else { Matrix::zeros(aa, 0) };
-
-    for j in s..e {
-        let is_last = j + 1 == e;
-        // Factorize the diagonal block — the critical path of the column.
-        chol::potrf_with(lanes.main(), &mut diag_work)
-            .map_err(|err| SerinvError::Factorization { block: j, source: err })?;
-        let l_jj = diag_work.clone();
-
-        // Off-diagonal couplings of this column, divided by L_jjᵀ on the
-        // right: three independent solves, forked as the first subtask group
-        // (`b_j` and `r_j` are mutually exclusive, so lane one solves
-        // whichever exists).
-        let mut b_j = if !is_last { Some(a.sub[j].clone()) } else { None };
-        let mut r_j = if is_last && has_right { Some(a.sub[j].clone()) } else { None };
-        {
-            let l = &l_jj;
-            let sub_rhs = b_j.as_mut().or(r_j.as_mut());
-            let left_rhs = left_work.as_mut();
-            let arrow_rhs = if has_arrow { Some(&mut arrow_work) } else { None };
-            lanes.fork(
-                move |pk| {
-                    if let Some(m) = sub_rhs {
-                        blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, m);
-                    }
-                },
-                move |pk| {
-                    if let Some(w) = left_rhs {
-                        blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, w);
-                    }
-                },
-                Some(move |pk: &mut PackBuffer| {
-                    if let Some(c) = arrow_rhs {
-                        blas::trsm_with(pk, Side::Right, Triangle::Lower, Trans::Yes, l, c);
-                    }
-                }),
-            );
-        }
-        let w_j = left_work.clone();
-        let c_j = arrow_work.clone();
-
-        // Second subtask group: Schur accumulation onto the reduced system
-        // and propagation to the next interior column. The three lanes write
-        // disjoint outputs (the `s_*` accumulators; `D_{j+1}`;
-        // `W_{j+1}`/`C_{j+1}`) and only share read-only inputs.
-        let mut next_diag = if !is_last { Some(a.diag[j + 1].clone()) } else { None };
-        // W_{j+1} = -W_j B_jᵀ starts from zeros (no original coupling for
-        // j+1 > s); C_{j+1} starts from the original arrow block.
-        let mut next_left =
-            if !is_last && w_j.is_some() { Some(Matrix::zeros(b, b)) } else { None };
-        let mut next_arrow = if !is_last { Some(a.arrow[j + 1].clone()) } else { None };
-        {
-            let (s_ll, s_rr, s_rl, s_al, s_ar, s_tt) =
-                (&mut s_ll, &mut s_rr, &mut s_rl, &mut s_al, &mut s_ar, &mut s_tt);
-            let (b_j, r_j, w_j, c_j) = (&b_j, &r_j, &w_j, &c_j);
-            let (next_diag, next_left, next_arrow) =
-                (&mut next_diag, &mut next_left, &mut next_arrow);
-            lanes.fork(
-                move |pk| {
-                    // Schur updates onto the reduced system.
-                    if let (Some(sll), Some(w)) = (s_ll.as_mut(), w_j.as_ref()) {
-                        blas::syrk_full_with(pk, Trans::No, 1.0, w, 1.0, sll);
-                    }
-                    if has_arrow {
-                        if let (Some(sal), Some(w)) = (s_al.as_mut(), w_j.as_ref()) {
-                            blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, c_j, w, 1.0, sal);
-                        }
-                        blas::syrk_full_with(pk, Trans::No, 1.0, c_j, 1.0, s_tt);
-                    }
-                    if is_last {
-                        if let (Some(srr), Some(r)) = (s_rr.as_mut(), r_j.as_ref()) {
-                            blas::syrk_full_with(pk, Trans::No, 1.0, r, 1.0, srr);
-                        }
-                        if let (Some(srl), (Some(r), Some(w))) =
-                            (s_rl.as_mut(), (r_j.as_ref(), w_j.as_ref()))
-                        {
-                            blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, r, w, 1.0, srl);
-                        }
-                        if has_arrow {
-                            if let (Some(sar), Some(r)) = (s_ar.as_mut(), r_j.as_ref()) {
-                                blas::gemm_with(pk, Trans::No, Trans::Yes, 1.0, c_j, r, 1.0, sar);
-                            }
-                        }
-                    }
-                },
-                move |pk| {
-                    // D_{j+1} -= B_j B_jᵀ.
-                    if let (Some(nd), Some(bj)) = (next_diag.as_mut(), b_j.as_ref()) {
-                        blas::syrk_full_with(pk, Trans::No, -1.0, bj, 1.0, nd);
-                    }
-                },
-                Some(move |pk: &mut PackBuffer| {
-                    if let Some(bj) = b_j.as_ref() {
-                        // W_{j+1} = -W_j B_jᵀ.
-                        if let (Some(nl), Some(w)) = (next_left.as_mut(), w_j.as_ref()) {
-                            blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, w, bj, 0.0, nl);
-                        }
-                        // C_{j+1} -= C_j B_jᵀ.
-                        if let (Some(na), true) = (next_arrow.as_mut(), has_arrow) {
-                            blas::gemm_with(pk, Trans::No, Trans::Yes, -1.0, c_j, bj, 1.0, na);
-                        }
-                    }
-                }),
-            );
-        }
-        if !is_last {
-            diag_work = next_diag.expect("next diagonal block exists before the last column");
-            left_work = next_left;
-            arrow_work = next_arrow.expect("next arrow block exists before the last column");
-        }
-
-        // Store the factor blocks of this column.
-        l_diag.push(l_jj);
-        if let Some(bj) = b_j {
-            l_sub.push(bj);
-        }
-        if let Some(w) = w_j {
-            l_left.push(w);
-        }
-        if let Some(r) = r_j {
-            l_right = Some(r);
-        }
-        l_arrow.push(c_j);
-    }
-
-    Ok((
-        PartitionFactor { p, interior: (s, e), l_diag, l_sub, l_left, l_right, l_arrow },
-        SchurContribution { s_ll, s_rr, s_rl, s_al, s_ar, s_tt },
-    ))
+    factor_columns(&mut blocks, 0, &mut Lanes::new(&mut pack_lanes, sched, b, len), Some(seps))?;
+    Ok((PartitionFactor { p, interior: (s, e), blocks, left, right }, schur))
 }
 
 /// Assemble the reduced BTA system over the separators + tip from the original
-/// matrix and the partitions' Schur contributions, in partition order.
+/// matrix and the partitions' Schur updates, in partition order.
 ///
 /// Reduced block `k` is separator `k`: partition `k` updates it through its
 /// right separator and partition `k + 1` through its left one, so its
 /// diagonal and arrow updates are the sum of those two, subtracted once. The
-/// tip sums every partition's update left to right. The accumulation order is
-/// a function of `P` alone, never of the worker count.
+/// tip adds every partition's tip update (`−Σ C Cᵀ`) left to right, then
+/// `T`. The accumulation order is a function of `P` alone, never of the
+/// worker count.
 fn assemble_reduced(
     a: &BtaMatrix,
     part: &Partitioning,
+    partitions: &[PartitionFactor],
     contribs: &mut [SchurContribution],
 ) -> BtaMatrix {
     let seps = part.separators();
@@ -575,7 +515,6 @@ fn assemble_reduced(
             }
         }
     }
-    reduced.tip = a.tip.clone();
 
     for k in 0..n_red {
         let (head, tail) = contribs.split_at_mut(k + 1);
@@ -595,14 +534,12 @@ fn assemble_reduced(
             }
         }
     }
-    if aa > 0 {
-        if let Some((first, rest)) = contribs.split_first_mut() {
-            for c in rest.iter() {
-                first.s_tt.axpy(1.0, &c.s_tt);
-            }
-            reduced.tip.axpy(-1.0, &first.s_tt);
-        }
+    let (first, rest) = partitions.split_first().expect("a partitioned factor has two or more partitions");
+    reduced.tip = first.blocks.tip.clone();
+    for pf in rest {
+        reduced.tip.axpy(1.0, &pf.blocks.tip);
     }
+    reduced.tip.axpy(1.0, &a.tip);
     reduced
 }
 
@@ -631,18 +568,282 @@ pub fn d_pobtaf_scheduled(
     }
     let results: Result<Vec<_>, SerinvError> = (0..num_parts)
         .into_par_iter()
-        .map(|p| factor_partition(a, part, p, sched))
+        .map(|p| factor_interior(a, part, p, sched))
         .collect();
     let (partitions, mut contribs): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
-    let mut reduced = assemble_reduced(a, part, &mut contribs);
+    let mut reduced = assemble_reduced(a, part, &partitions, &mut contribs);
     let mut pack_lanes = PackLanes::default();
-    factor_columns(&mut reduced, 0, &mut Lanes::new(&mut pack_lanes, sched, a.b, num_parts - 1))?;
+    let mut lanes = Lanes::new(&mut pack_lanes, sched, a.b, num_parts - 1);
+    factor_columns(&mut reduced, 0, &mut lanes, None)?;
     Ok(DistBtaCholesky::Partitioned {
         structure: (a.n, a.b, a.a),
         partitioning: part.clone(),
         partitions,
         reduced: BtaCholesky { blocks: reduced },
     })
+}
+
+/// One run of factor block columns: columns `start .. start + blocks.n` of
+/// the whole matrix, with the fill `W_j` coupling every column to a left
+/// separator and the coupling `R` of the last column to a right separator.
+/// A partition interior is a span with the separators it has; a monolithic
+/// factor (and the reduced system) is the span of all its columns with
+/// neither.
+#[derive(Clone, Copy)]
+pub(crate) struct Span<'a> {
+    blocks: &'a BtaMatrix,
+    start: usize,
+    left: &'a [Matrix],
+    right: Option<&'a Matrix>,
+}
+
+/// What the forward sweep over a span leaves for the rows outside it.
+pub(crate) struct Forward {
+    /// The solved blocks `y_j` of the span's columns.
+    pub(crate) y: Vec<Matrix>,
+    /// `Σ W_j y_j`, for the left separator's rows to subtract.
+    left: Option<Matrix>,
+    /// `R y_last`, for the right separator's rows to subtract.
+    right: Option<Matrix>,
+    /// `Σ C_j y_j`, for the tip rows to subtract.
+    pub(crate) tip: Matrix,
+}
+
+/// The selected inverse on a span's separators and the arrow tip, which its
+/// selected-inversion sweep reads: `Σ_{ls,ls}`, `Σ_{rs,rs}`, `Σ_{rs,ls}`,
+/// `Σ_{T,ls}`, `Σ_{T,rs}` where they exist, and `Σ_TT`.
+pub(crate) struct Boundary<'a> {
+    pub(crate) ls_ls: Option<&'a Matrix>,
+    pub(crate) rs_rs: Option<&'a Matrix>,
+    pub(crate) rs_ls: Option<&'a Matrix>,
+    pub(crate) t_ls: Option<&'a Matrix>,
+    pub(crate) t_rs: Option<&'a Matrix>,
+    pub(crate) tt: &'a Matrix,
+}
+
+/// The selected inverse on a span's columns, in the span's layout.
+pub(crate) struct SpanInverse {
+    /// `Σ_jj` of every column.
+    pub(crate) diag: Vec<Matrix>,
+    /// `Σ_{j+1,j}` within the span.
+    pub(crate) sub: Vec<Matrix>,
+    /// `Σ_{T,j}` of every column (`0 × b` without an arrow).
+    pub(crate) arrow: Vec<Matrix>,
+    /// `Σ_{ls,j}` of every column, or empty without a left separator.
+    left: Vec<Matrix>,
+    /// `Σ_{rs,last}`, with a right separator.
+    right: Option<Matrix>,
+}
+
+/// `out += l y` when both `out` and `l` exist, as a join-group subtask.
+fn accumulate<'a>(
+    out: Option<&'a mut Matrix>,
+    l: Option<&'a Matrix>,
+    y: &'a Matrix,
+) -> impl FnOnce(&mut PackBuffer) + Send + 'a {
+    move |pk| {
+        if let (Some(out), Some(l)) = (out, l) {
+            blas::gemm_with(pk, Trans::No, Trans::No, 1.0, l, y, 1.0, out);
+        }
+    }
+}
+
+/// One selected-inverse block of a column: `−(Σ_k op(S_k) L_k) L_jj⁻¹` over
+/// the terms whose blocks exist, accumulated in the given order.
+fn sigma_block(pk: &mut PackBuffer, rows: usize, terms: &[(Trans, Option<&Matrix>, Option<&Matrix>)], l_inv: &Matrix) -> Matrix {
+    let mut acc = Matrix::zeros(rows, l_inv.ncols());
+    for &(t, s, l) in terms {
+        if let (Some(s), Some(l)) = (s, l) {
+            blas::gemm_with(pk, t, Trans::No, -1.0, s, l, 1.0, &mut acc);
+        }
+    }
+    let mut out = Matrix::zeros(rows, l_inv.ncols());
+    blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &acc, l_inv, 0.0, &mut out);
+    out
+}
+
+impl<'a> Span<'a> {
+    /// The span of every column of a monolithic factor.
+    pub(crate) fn whole(blocks: &'a BtaMatrix) -> Self {
+        Span { blocks, start: 0, left: &[], right: None }
+    }
+
+    /// Write the span's blocks `x` into its rows of `rhs`.
+    pub(crate) fn scatter(&self, rhs: &mut Matrix, x: &[Matrix]) {
+        for (j, xj) in x.iter().enumerate() {
+            rhs.set_block((self.start + j) * self.blocks.b, 0, xj);
+        }
+    }
+
+    /// Forward substitution `L y = r` over the span's columns, `r` read from
+    /// the span's rows of `rhs`. The updates of the left separator, right
+    /// separator and tip rows read each `y_j` and write disjoint outputs, so
+    /// they form one join group per column.
+    pub(crate) fn forward(&self, rhs: &Matrix, lanes: &mut Lanes) -> Forward {
+        let m = self.blocks;
+        let (len, b, k) = (m.n, m.b, rhs.ncols());
+        let mut y: Vec<Matrix> = Vec::with_capacity(len);
+        let mut left = (!self.left.is_empty()).then(|| Matrix::zeros(b, k));
+        let mut right = self.right.map(|_| Matrix::zeros(b, k));
+        let mut tip = Matrix::zeros(m.a, k);
+        for j in 0..len {
+            let mut yj = rhs.block((self.start + j) * b, 0, b, k);
+            if j > 0 {
+                blas::gemm_with(lanes.main(), Trans::No, Trans::No, -1.0, &m.sub[j - 1], &y[j - 1], 1.0, &mut yj);
+            }
+            blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, &m.diag[j], &mut yj);
+            let r = if j + 1 == len { self.right } else { None };
+            let c = if m.a > 0 { Some(&m.arrow[j]) } else { None };
+            lanes.fork(
+                accumulate(left.as_mut(), self.left.get(j), &yj),
+                accumulate(right.as_mut(), r, &yj),
+                Some(accumulate(Some(&mut tip), c, &yj)),
+            );
+            y.push(yj);
+        }
+        Forward { y, left, right, tip }
+    }
+
+    /// Backward substitution `Lᵀ x = y` over the span's columns, `y` read
+    /// from the span's rows of `rhs`, given the solutions of the separators
+    /// and the tip. The separator and tip back-couplings accumulate in a
+    /// buffer of their own so they can fork against the carried sub-diagonal
+    /// term; both schedules run the same sequence.
+    pub(crate) fn backward(
+        &self,
+        rhs: &Matrix,
+        x_left: Option<&Matrix>,
+        x_right: Option<&Matrix>,
+        x_tip: Option<&Matrix>,
+        lanes: &mut Lanes,
+    ) -> Vec<Matrix> {
+        let m = self.blocks;
+        let (len, b, k) = (m.n, m.b, rhs.ncols());
+        let mut x = vec![Matrix::zeros(0, 0); len];
+        let mut ext = Matrix::zeros(if len > 0 { b } else { 0 }, k);
+        for j in (0..len).rev() {
+            let mut t = rhs.block((self.start + j) * b, 0, b, k);
+            ext.fill_zero();
+            let carried = if j + 1 < len { Some((&m.sub[j], &x[j + 1])) } else { None };
+            let r = if j + 1 == len { self.right } else { None };
+            let couplings = [(self.left.get(j), x_left), (r, x_right), (x_tip.map(|_| &m.arrow[j]), x_tip)];
+            let (t_ref, ext_ref) = (&mut t, &mut ext);
+            lanes.fork(
+                move |pk| {
+                    if let Some((l, xn)) = carried {
+                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, l, xn, 1.0, t_ref);
+                    }
+                },
+                move |pk| {
+                    for (l, xs) in couplings {
+                        if let (Some(l), Some(xs)) = (l, xs) {
+                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, l, xs, 1.0, ext_ref);
+                        }
+                    }
+                },
+                None::<fn(&mut PackBuffer)>,
+            );
+            t.axpy(1.0, &ext);
+            blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, &m.diag[j], &mut t);
+            x[j] = t;
+        }
+        x
+    }
+
+    /// Selected inversion over the span's columns, right to left, given the
+    /// selected inverse on its separators and the tip. Each column reads its
+    /// right neighbour's blocks from the output; its three Σ blocks —
+    /// `Σ_{ls,j}`, `Σ_{j+1,j}` (or `Σ_{rs,j}`) and `Σ_{T,j}` — write disjoint
+    /// outputs and form one join group between the `L_jj⁻¹` solve and the
+    /// diagonal block.
+    pub(crate) fn selected_inverse(&self, sig: &Boundary, lanes: &mut Lanes) -> SpanInverse {
+        let m = self.blocks;
+        let (len, b, a) = (m.n, m.b, m.a);
+        let has_left = !self.left.is_empty();
+        let empty = Matrix::zeros(0, b);
+        let mut out = SpanInverse {
+            diag: vec![empty.clone(); len],
+            sub: vec![empty.clone(); len.saturating_sub(1)],
+            arrow: vec![empty.clone(); len],
+            left: vec![empty; if has_left { len } else { 0 }],
+            right: None,
+        };
+        for j in (0..len).rev() {
+            let last = j + 1 == len;
+            let l_jj = &m.diag[j];
+            let mut l_inv = Matrix::identity(b);
+            blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, l_jj, &mut l_inv);
+
+            let (w, c) = (self.left.get(j), Some(&m.arrow[j]));
+            let b_j = if last { None } else { Some(&m.sub[j]) };
+            let r = if last { self.right } else { None };
+            // Σ_{j+1,j+1}, Σ_{ls,j+1} and Σ_{T,j+1}, from the previous step.
+            let (nd, nl, na) = if last {
+                (None, None, None)
+            } else {
+                (Some(&out.diag[j + 1]), out.left.get(j + 1), Some(&out.arrow[j + 1]))
+            };
+            let (mut s_left, mut s_below, mut s_tip) = (None, None, None);
+            let (sl, sb, st, li) = (&mut s_left, &mut s_below, &mut s_tip, &l_inv);
+            lanes.fork(
+                move |pk| {
+                    if has_left {
+                        let terms = [
+                            (Trans::No, nl, b_j),
+                            (Trans::No, sig.ls_ls, w),
+                            (Trans::Yes, sig.rs_ls, r),
+                            (Trans::Yes, sig.t_ls, c),
+                        ];
+                        *sl = Some(sigma_block(pk, b, &terms, li));
+                    }
+                },
+                move |pk| {
+                    let terms = if b_j.is_some() {
+                        [(Trans::No, nd, b_j), (Trans::Yes, nl, w), (Trans::Yes, na.filter(|_| a > 0), c)]
+                    } else {
+                        [(Trans::No, sig.rs_rs, r), (Trans::No, sig.rs_ls, w), (Trans::Yes, sig.t_rs, c)]
+                    };
+                    if b_j.or(r).is_some() {
+                        *sb = Some(sigma_block(pk, b, &terms, li));
+                    }
+                },
+                Some(move |pk: &mut PackBuffer| {
+                    if a > 0 {
+                        let terms = [
+                            (Trans::No, na, b_j),
+                            (Trans::No, sig.t_ls, w),
+                            (Trans::No, sig.t_rs, r),
+                            (Trans::No, Some(sig.tt), c),
+                        ];
+                        *st = Some(sigma_block(pk, a, &terms, li));
+                    }
+                }),
+            );
+
+            // Σ_jj = L_jj⁻ᵀ (L_jj⁻¹ − Σ_k L_{k,j}ᵀ Σ_{k,j}).
+            let mut inner = l_inv;
+            for (l, s) in [(b_j.or(r), &s_below), (w, &s_left), (c, &s_tip)] {
+                if let (Some(l), Some(s)) = (l, s) {
+                    blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, l, s, 1.0, &mut inner);
+                }
+            }
+            blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, l_jj, &mut inner);
+            inner.symmetrize();
+            out.diag[j] = inner;
+            match s_below {
+                Some(s) if last => out.right = Some(s),
+                Some(s) => out.sub[j] = s,
+                None => {}
+            }
+            if let Some(s) = s_tip {
+                out.arrow[j] = s;
+            }
+            if let Some(s) = s_left {
+                out.left[j] = s;
+            }
+        }
+        out
+    }
 }
 
 /// Distributed BTA triangular solve (`d_pobtas`, the paper's `PPOBTAS`) with
@@ -670,175 +871,65 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
         DistBtaCholesky::Partitioned { structure, partitioning, partitions, reduced } => {
             let (n, b, a) = *structure;
             assert_eq!(rhs.nrows(), n * b + a, "d_pobtas: rhs dimension mismatch");
-            let k = rhs.ncols();
-            let a0 = n * b;
+            let (k, a0) = (rhs.ncols(), n * b);
             let seps = partitioning.separators();
             let n_red = seps.len();
 
-            // ---- Forward substitution on the interiors (parallel). ----
-            // Per partition: (partition index, interior solutions, update to
-            // the left separator, update to the right separator, tip update).
-            type ForwardPartial = (usize, Vec<Matrix>, Option<Matrix>, Option<Matrix>, Matrix);
-            let partial: Vec<ForwardPartial> = partitions
+            // Forward sweeps on the interiors (parallel).
+            let shared: &Matrix = rhs;
+            let forward: Vec<Forward> = partitions
                 .par_iter()
                 .map(|pf| {
-                    let (s, e) = pf.interior;
-                    let len = e - s;
                     let mut pack_lanes = PackLanes::default();
-                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
-                    let mut ys: Vec<Matrix> = Vec::with_capacity(len);
-                    let mut left_update: Option<Matrix> =
-                        (!pf.l_left.is_empty()).then(|| Matrix::zeros(b, k));
-                    let mut right_update: Option<Matrix> =
-                        pf.l_right.as_ref().map(|_| Matrix::zeros(b, k));
-                    let mut tip_update = Matrix::zeros(a, k);
-                    for (idx, j) in (s..e).enumerate() {
-                        let mut yj = rhs.block(j * b, 0, b, k);
-                        if idx > 0 {
-                            blas::gemm_with(lanes.main(), Trans::No, Trans::No, -1.0, &pf.l_sub[idx - 1], &ys[idx - 1], 1.0, &mut yj);
-                        }
-                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, &pf.l_diag[idx], &mut yj);
-                        // Separator / tip accumulations: three disjoint
-                        // outputs reading the shared y_j — one join group.
-                        {
-                            let (lu, ru, tu) = (&mut left_update, &mut right_update, &mut tip_update);
-                            let y = &yj;
-                            let w = pf.l_left.get(idx);
-                            let r = if idx + 1 == len { pf.l_right.as_ref() } else { None };
-                            let c = if a > 0 { Some(&pf.l_arrow[idx]) } else { None };
-                            lanes.fork(
-                                move |pk| {
-                                    if let (Some(lu), Some(w)) = (lu.as_mut(), w) {
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, w, y, 1.0, lu);
-                                    }
-                                },
-                                move |pk| {
-                                    if let (Some(ru), Some(r)) = (ru.as_mut(), r) {
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, r, y, 1.0, ru);
-                                    }
-                                },
-                                Some(move |pk: &mut PackBuffer| {
-                                    if let Some(c) = c {
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, c, y, 1.0, tu);
-                                    }
-                                }),
-                            );
-                        }
-                        ys.push(yj);
-                    }
-                    (pf.p, ys, left_update, right_update, tip_update)
+                    pf.span().forward(shared, &mut Lanes::new(&mut pack_lanes, sched, b, pf.blocks.n))
                 })
                 .collect();
 
-            // Write interior y values and apply separator/tip updates.
+            // The reduced right-hand side: the separator and tip rows minus
+            // the interiors' updates, in partition order.
             let mut reduced_rhs = Matrix::zeros(n_red * b + a, k);
             for (kk, &sep) in seps.iter().enumerate() {
-                let block = rhs.block(sep * b, 0, b, k);
-                reduced_rhs.set_block(kk * b, 0, &block);
+                reduced_rhs.set_block(kk * b, 0, &rhs.block(sep * b, 0, b, k));
             }
-            if a > 0 {
-                let tip_block = rhs.block(a0, 0, a, k);
-                reduced_rhs.set_block(n_red * b, 0, &tip_block);
-            }
-            for (p, ys, left_update, right_update, tip_update) in &partial {
-                let pf = &partitions[*p];
-                let (s, _e) = pf.interior;
-                for (idx, y) in ys.iter().enumerate() {
-                    rhs.set_block((s + idx) * b, 0, y);
+            reduced_rhs.set_block(n_red * b, 0, &rhs.block(a0, 0, a, k));
+            for (pf, fw) in partitions.iter().zip(&forward) {
+                pf.span().scatter(rhs, &fw.y);
+                if let Some(lu) = &fw.left {
+                    reduced_rhs.add_block((pf.p - 1) * b, 0, -1.0, lu);
                 }
-                if let Some(lu) = left_update {
-                    reduced_rhs.add_block((p - 1) * b, 0, -1.0, lu);
+                if let Some(ru) = &fw.right {
+                    reduced_rhs.add_block(pf.p * b, 0, -1.0, ru);
                 }
-                if let Some(ru) = right_update {
-                    reduced_rhs.add_block(*p * b, 0, -1.0, ru);
-                }
-                if a > 0 {
-                    reduced_rhs.add_block(n_red * b, 0, -1.0, tip_update);
-                }
+                reduced_rhs.add_block(n_red * b, 0, -1.0, &fw.tip);
             }
 
-            // ---- Solve the reduced system. ----
             pobtas(reduced, &mut reduced_rhs);
 
-            // Scatter the separator / tip solutions back.
-            for (kk, &sep) in seps.iter().enumerate() {
-                let block = reduced_rhs.block(kk * b, 0, b, k);
-                rhs.set_block(sep * b, 0, &block);
-            }
-            if a > 0 {
-                let tip_block = reduced_rhs.block(n_red * b, 0, a, k);
-                rhs.set_block(a0, 0, &tip_block);
-            }
-
-            // Hoist the separator / tip solution blocks out of the parallel
-            // region: every partition reads (at most) two separators and the
-            // tip, so one extraction per reduced block replaces the former
-            // per-partition clones.
+            // The separator and tip solutions: written back, and read by
+            // every interior's backward sweep (one extraction per block).
             let sep_x: Vec<Matrix> = (0..n_red).map(|kk| reduced_rhs.block(kk * b, 0, b, k)).collect();
             let tip_x = (a > 0).then(|| reduced_rhs.block(n_red * b, 0, a, k));
+            for (x, &sep) in sep_x.iter().zip(&seps) {
+                rhs.set_block(sep * b, 0, x);
+            }
+            if let Some(xt) = &tip_x {
+                rhs.set_block(a0, 0, xt);
+            }
 
-            // ---- Backward substitution on the interiors (parallel). ----
-            let last_p = partitioning.num_partitions() - 1;
-            let solutions: Vec<(usize, Vec<Matrix>)> = partitions
+            // Backward sweeps on the interiors (parallel).
+            let shared: &Matrix = rhs;
+            let solutions: Vec<Vec<Matrix>> = partitions
                 .par_iter()
                 .map(|pf| {
-                    let (s, e) = pf.interior;
-                    let len = e - s;
+                    let x_left = (pf.p > 0).then(|| &sep_x[pf.p - 1]);
+                    let x_right = sep_x.get(pf.p);
                     let mut pack_lanes = PackLanes::default();
-                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
-                    let mut xs: Vec<Matrix> = vec![Matrix::zeros(0, 0); len];
-                    let x_left = if pf.p > 0 { Some(&sep_x[pf.p - 1]) } else { None };
-                    let x_right = if pf.p < last_p { Some(&sep_x[pf.p]) } else { None };
-                    let x_tip = tip_x.as_ref();
-                    // The external separator / tip back-couplings accumulate
-                    // into a dedicated buffer so they can fork against the
-                    // carried sub-diagonal term; both schedules run the same
-                    // sequence, keeping the result schedule-independent.
-                    let mut ext = if len > 0 { Matrix::zeros(b, k) } else { Matrix::zeros(0, 0) };
-                    for idx in (0..len).rev() {
-                        let j = s + idx;
-                        let mut t = rhs.block(j * b, 0, b, k);
-                        ext.fill_zero();
-                        {
-                            let carried =
-                                if idx + 1 < len { Some((&pf.l_sub[idx], &xs[idx + 1])) } else { None };
-                            let (t_ref, ext_ref) = (&mut t, &mut ext);
-                            let w = pf.l_left.get(idx);
-                            let r = if idx + 1 == len { pf.l_right.as_ref() } else { None };
-                            let c = &pf.l_arrow;
-                            lanes.fork(
-                                move |pk| {
-                                    if let Some((l, x)) = carried {
-                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, l, x, 1.0, t_ref);
-                                    }
-                                },
-                                move |pk| {
-                                    if let (Some(w), Some(xl)) = (w, x_left) {
-                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, w, xl, 1.0, ext_ref);
-                                    }
-                                    if let (Some(r), Some(xr)) = (r, x_right) {
-                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, r, xr, 1.0, ext_ref);
-                                    }
-                                    if let Some(xt) = x_tip {
-                                        blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, &c[idx], xt, 1.0, ext_ref);
-                                    }
-                                },
-                                None::<fn(&mut PackBuffer)>,
-                            );
-                        }
-                        t.axpy(1.0, &ext);
-                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, &pf.l_diag[idx], &mut t);
-                        xs[idx] = t;
-                    }
-                    (pf.p, xs)
+                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, pf.blocks.n);
+                    pf.span().backward(shared, x_left, x_right, tip_x.as_ref(), &mut lanes)
                 })
                 .collect();
-
-            for (p, xs) in solutions {
-                let (s, _e) = partitions[p].interior;
-                for (idx, x) in xs.iter().enumerate() {
-                    rhs.set_block((s + idx) * b, 0, x);
-                }
+            for (pf, x) in partitions.iter().zip(&solutions) {
+                pf.span().scatter(rhs, x);
             }
         }
     }
@@ -866,249 +957,55 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
         DistBtaCholesky::Partitioned { structure, partitioning, partitions, reduced } => {
             let (n, b, a) = *structure;
             let seps = partitioning.separators();
-            let n_red = seps.len();
-            let reduced_sel = pobtasi(reduced);
-            let mut inv = BtaMatrix::zeros(n, b, a);
+            let red = pobtasi(reduced).blocks;
 
-            // Fill in the separator / tip blocks directly from the reduced
+            // The separator and tip blocks come straight from the reduced
             // selected inverse.
-            if a > 0 {
-                inv.tip = reduced_sel.blocks.tip.clone();
-            }
+            let mut inv = BtaMatrix::zeros(n, b, a);
+            inv.tip = red.tip.clone();
             for (kk, &sep) in seps.iter().enumerate() {
-                inv.diag[sep] = reduced_sel.blocks.diag[kk].clone();
-                if a > 0 {
-                    inv.arrow[sep] = reduced_sel.blocks.arrow[kk].clone();
-                }
-                // Coupling between adjacent separators (only when the partition
-                // between them has no interior blocks).
-                if kk + 1 < n_red && seps[kk + 1] == sep + 1 {
-                    inv.sub[sep] = reduced_sel.blocks.sub[kk].clone();
+                inv.diag[sep] = red.diag[kk].clone();
+                inv.arrow[sep] = red.arrow[kk].clone();
+                // Coupling between adjacent separators (only when the
+                // partition between them has no interior blocks).
+                if seps.get(kk + 1) == Some(&(sep + 1)) {
+                    inv.sub[sep] = red.sub[kk].clone();
                 }
             }
 
-            // Per-partition backward pass (parallel).
-            struct PartInverse {
-                p: usize,
-                s: usize,
-                diag: Vec<Matrix>,
-                sub_within: Vec<Matrix>,
-                sub_to_right_sep: Option<Matrix>,
-                sub_from_left_sep: Option<Matrix>,
-                arrow: Vec<Matrix>,
-            }
-
-            let parts: Vec<PartInverse> = partitions
+            // Selected-inversion sweeps on the interiors (parallel), reading
+            // the reduced blocks by reference.
+            let parts: Vec<SpanInverse> = partitions
                 .par_iter()
                 .map(|pf| {
-                    let (s, e) = pf.interior;
-                    let len = e - s;
                     let p = pf.p;
-                    let mut pack_lanes = PackLanes::default();
-                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, len);
-                    let has_left = p > 0;
-                    let has_right = p + 1 < partitioning.num_partitions();
-
-                    // Borrowed views into the shared reduced selected inverse
-                    // — no per-partition clones (the reduced system is
-                    // read-only during this pass).
-                    let sig_ls_ls = if has_left { Some(&reduced_sel.blocks.diag[p - 1]) } else { None };
-                    let sig_rs_rs = if has_right { Some(&reduced_sel.blocks.diag[p]) } else { None };
-                    let sig_rs_ls = if has_left && has_right {
-                        Some(&reduced_sel.blocks.sub[p - 1])
-                    } else {
-                        None
+                    let (has_left, has_right) = (p > 0, p < seps.len());
+                    let sig = Boundary {
+                        ls_ls: has_left.then(|| &red.diag[p - 1]),
+                        rs_rs: has_right.then(|| &red.diag[p]),
+                        rs_ls: (has_left && has_right).then(|| &red.sub[p - 1]),
+                        t_ls: (has_left && a > 0).then(|| &red.arrow[p - 1]),
+                        t_rs: (has_right && a > 0).then(|| &red.arrow[p]),
+                        tt: &red.tip,
                     };
-                    let sig_t_ls = if has_left && a > 0 { Some(&reduced_sel.blocks.arrow[p - 1]) } else { None };
-                    let sig_t_rs = if has_right && a > 0 { Some(&reduced_sel.blocks.arrow[p]) } else { None };
-                    let sig_tt = &reduced_sel.blocks.tip;
-
-                    let mut diag_out: Vec<Matrix> = vec![Matrix::zeros(0, 0); len];
-                    let mut sub_within: Vec<Matrix> = vec![Matrix::zeros(0, 0); len.saturating_sub(1)];
-                    let mut sub_to_right_sep: Option<Matrix> = None;
-                    let mut sub_from_left_sep: Option<Matrix> = None;
-                    let mut arrow_out: Vec<Matrix> = vec![Matrix::zeros(0, 0); len];
-
-                    // Backward carry: Σ_{j+1,j+1}, Σ_{ls,j+1}, Σ_{T,j+1}.
-                    let mut next_diag: Option<Matrix> = None;
-                    let mut next_left: Option<Matrix> = None;
-                    let mut next_arrow: Option<Matrix> = None;
-
-                    for idx in (0..len).rev() {
-                        let is_last = idx + 1 == len;
-                        let l_jj = &pf.l_diag[idx];
-                        let mut l_inv = Matrix::identity(b);
-                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, l_jj, &mut l_inv);
-
-                        let w_j = pf.l_left.get(idx);
-                        let c_j = &pf.l_arrow[idx];
-                        let b_j = if !is_last { Some(&pf.l_sub[idx]) } else { None };
-                        let r_j = if is_last { pf.l_right.as_ref() } else { None };
-
-                        // The three Σ products of this column are mutually
-                        // independent (disjoint outputs, shared read-only
-                        // inputs) — fork them as one join group.
-                        let mut sigma_left: Option<Matrix> = None;
-                        let mut sigma_below: Option<Matrix> = None;
-                        let mut sigma_tip: Option<Matrix> = None;
-                        {
-                            let (sl_out, sb_out, st_out) =
-                                (&mut sigma_left, &mut sigma_below, &mut sigma_tip);
-                            let li = &l_inv;
-                            let nd = next_diag.as_ref();
-                            let nl = next_left.as_ref();
-                            let na = next_arrow.as_ref();
-                            lanes.fork(
-                                // Σ_{ls,j}.
-                                move |pk| {
-                                    if has_left {
-                                        let mut m = Matrix::zeros(b, b);
-                                        if let (Some(bj), Some(nl)) = (b_j, nl) {
-                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, nl, bj, 1.0, &mut m);
-                                        }
-                                        if let (Some(sll), Some(w)) = (sig_ls_ls, w_j) {
-                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, sll, w, 1.0, &mut m);
-                                        }
-                                        if let (Some(rj), Some(srl)) = (r_j, sig_rs_ls) {
-                                            // Σ_{ls,rs} = Σ_{rs,ls}ᵀ.
-                                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, srl, rj, 1.0, &mut m);
-                                        }
-                                        if a > 0 {
-                                            if let Some(stl) = sig_t_ls {
-                                                blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, stl, c_j, 1.0, &mut m);
-                                            }
-                                        }
-                                        let mut out = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
-                                        *sl_out = Some(out);
-                                    }
-                                },
-                                // Σ_{j+1,j} (within partition) or Σ_{rs,j} (last column).
-                                move |pk| {
-                                    *sb_out = if let Some(bj) = b_j {
-                                        let mut m = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk, Trans::No, Trans::No, -1.0, nd.unwrap(), bj, 1.0, &mut m);
-                                        if let (Some(nl), Some(w)) = (nl, w_j) {
-                                            // Σ_{j+1,ls} = Σ_{ls,j+1}ᵀ.
-                                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, nl, w, 1.0, &mut m);
-                                        }
-                                        if a > 0 {
-                                            blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, na.unwrap(), c_j, 1.0, &mut m);
-                                        }
-                                        let mut out = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
-                                        Some(out)
-                                    } else if let Some(rj) = r_j {
-                                        let mut m = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk, Trans::No, Trans::No, -1.0, sig_rs_rs.unwrap(), rj, 1.0, &mut m);
-                                        if let (Some(srl), Some(w)) = (sig_rs_ls, w_j) {
-                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, srl, w, 1.0, &mut m);
-                                        }
-                                        if a > 0 {
-                                            if let Some(str_) = sig_t_rs {
-                                                blas::gemm_with(pk, Trans::Yes, Trans::No, -1.0, str_, c_j, 1.0, &mut m);
-                                            }
-                                        }
-                                        let mut out = Matrix::zeros(b, b);
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
-                                        Some(out)
-                                    } else {
-                                        None
-                                    };
-                                },
-                                // Σ_{T,j}.
-                                Some(move |pk: &mut PackBuffer| {
-                                    if a > 0 {
-                                        let mut m = Matrix::zeros(a, b);
-                                        if let Some(bj) = b_j {
-                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, na.unwrap(), bj, 1.0, &mut m);
-                                        }
-                                        if let (Some(stl), Some(w)) = (sig_t_ls, w_j) {
-                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, stl, w, 1.0, &mut m);
-                                        }
-                                        if let (Some(str_), Some(rj)) = (sig_t_rs, r_j) {
-                                            blas::gemm_with(pk, Trans::No, Trans::No, -1.0, str_, rj, 1.0, &mut m);
-                                        }
-                                        blas::gemm_with(pk, Trans::No, Trans::No, -1.0, sig_tt, c_j, 1.0, &mut m);
-                                        let mut out = Matrix::zeros(a, b);
-                                        blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &m, li, 0.0, &mut out);
-                                        *st_out = Some(out);
-                                    }
-                                }),
-                            );
-                        }
-
-                        // Σ_{jj} = L_jj^{-T}(L_jj^{-1} − Σ_k L_{k,j}ᵀ Σ_{k,j}).
-                        let mut inner = l_inv.clone();
-                        if let (Some(bj), Some(sb)) = (b_j, sigma_below.as_ref()) {
-                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, bj, sb, 1.0, &mut inner);
-                        }
-                        if let (Some(rj), Some(sb)) = (r_j, sigma_below.as_ref()) {
-                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, rj, sb, 1.0, &mut inner);
-                        }
-                        if let (Some(w), Some(sl)) = (w_j, sigma_left.as_ref()) {
-                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, w, sl, 1.0, &mut inner);
-                        }
-                        if let Some(st) = sigma_tip.as_ref() {
-                            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, c_j, st, 1.0, &mut inner);
-                        }
-                        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, l_jj, &mut inner);
-                        inner.symmetrize();
-
-                        diag_out[idx] = inner.clone();
-                        if let Some(sb) = sigma_below.clone() {
-                            if is_last {
-                                sub_to_right_sep = Some(sb);
-                            } else {
-                                sub_within[idx] = sb;
-                            }
-                        }
-                        if idx == 0 {
-                            if let Some(sl) = sigma_left.as_ref() {
-                                // Σ_{s, ls} = Σ_{ls, s}ᵀ is the sub-diagonal block at (s, s-1).
-                                sub_from_left_sep = Some(sl.transpose());
-                            }
-                        }
-                        if let Some(st) = sigma_tip.clone() {
-                            arrow_out[idx] = st;
-                        }
-
-                        next_diag = Some(inner);
-                        next_left = sigma_left;
-                        next_arrow = sigma_tip;
-                    }
-
-                    PartInverse {
-                        p,
-                        s,
-                        diag: diag_out,
-                        sub_within,
-                        sub_to_right_sep,
-                        sub_from_left_sep,
-                        arrow: arrow_out,
-                    }
+                    let mut pack_lanes = PackLanes::default();
+                    pf.span().selected_inverse(&sig, &mut Lanes::new(&mut pack_lanes, sched, b, pf.blocks.n))
                 })
                 .collect();
 
-            for part in parts {
-                let s = part.s;
-                for (idx, m) in part.diag.into_iter().enumerate() {
-                    inv.diag[s + idx] = m;
+            for (pf, part) in partitions.iter().zip(parts) {
+                let (s, e) = pf.interior;
+                for (dst, src) in [(&mut inv.diag, part.diag), (&mut inv.sub, part.sub), (&mut inv.arrow, part.arrow)] {
+                    for (j, m) in src.into_iter().enumerate() {
+                        dst[s + j] = m;
+                    }
                 }
-                for (idx, m) in part.sub_within.into_iter().enumerate() {
-                    inv.sub[s + idx] = m;
-                }
-                if let Some(m) = part.sub_to_right_sep {
-                    let e = partitions[part.p].interior.1;
+                if let Some(m) = part.right {
                     inv.sub[e - 1] = m;
                 }
-                if let Some(m) = part.sub_from_left_sep {
-                    inv.sub[s - 1] = m;
-                }
-                if a > 0 {
-                    for (idx, m) in part.arrow.into_iter().enumerate() {
-                        inv.arrow[s + idx] = m;
-                    }
+                // Σ_{s,ls} = Σ_{ls,s}ᵀ is the sub-diagonal block at (s, s−1).
+                if let Some(m) = part.left.first() {
+                    inv.sub[s - 1] = m.transpose();
                 }
             }
 
@@ -1125,10 +1022,16 @@ mod tests {
     use crate::testing::{test_matrix, test_rhs};
 
     fn check_equivalence(n: usize, b: usize, a: usize, p: usize, lb: f64) {
+        check_partitioned(b, a, &Partitioning::load_balanced(n, p, lb));
+    }
+
+    /// The distributed factor, solve and selected inverse on `part` agree
+    /// with the sequential kernels and with dense linear algebra.
+    fn check_partitioned(b: usize, a: usize, part: &Partitioning) {
+        let (n, p) = (part.num_blocks(), part.num_partitions());
         let m = test_matrix(n, b, a, 42);
-        let part = Partitioning::load_balanced(n, p, lb);
         let seq = pobtaf(&m).unwrap();
-        let dist = d_pobtaf(&m, &part).unwrap();
+        let dist = d_pobtaf(&m, part).unwrap();
 
         // Log-determinants agree.
         assert!(
@@ -1175,6 +1078,21 @@ mod tests {
             }
             assert!(sel_seq.blocks.tip.max_abs_diff(&sel_dist.blocks.tip) < 1e-8);
         }
+
+        // Dense oracles: the solve recovers a known solution, and the
+        // selected inverse matches the dense inverse on the BTA pattern.
+        let dense = m.to_dense();
+        let x_true = test_rhs(m.dim(), 3);
+        let mut x = blas::matmul(&dense, &x_true);
+        d_pobtas(&dist, &mut x);
+        assert!(x.max_abs_diff(&x_true) < 1e-8, "dense solve mismatch for P={p}");
+        let want = BtaMatrix::from_dense(&chol::spd_inverse(&dense).unwrap(), n, b, a);
+        let got = &sel_dist.blocks;
+        let pairs = got.diag.iter().zip(&want.diag).chain(got.sub.iter().zip(&want.sub));
+        for (i, (g, w)) in pairs.chain(got.arrow.iter().zip(&want.arrow)).enumerate() {
+            assert!(g.max_abs_diff(w) < 1e-8, "dense selected-inverse block {i} mismatch for P={p}");
+        }
+        assert!(got.tip.max_abs_diff(&want.tip) < 1e-8, "dense selected-inverse tip for P={p}");
     }
 
     #[test]
@@ -1207,6 +1125,10 @@ mod tests {
         // P = n/1: some partitions have empty interiors.
         check_equivalence(6, 2, 1, 6, 1.0);
         check_equivalence(5, 2, 1, 5, 1.0);
+        // Only the middle partition's interior is empty.
+        for a in [2, 0] {
+            check_partitioned(3, a, &Partitioning::from_sizes(&[3, 1, 4]));
+        }
     }
 
     #[test]
@@ -1226,24 +1148,17 @@ mod tests {
         for (fx, fy) in px.iter().zip(py) {
             let p = fx.p;
             assert_eq!(fx.interior, fy.interior, "{tag}: interior range of partition {p}");
-            for (i, (mx, my)) in fx.l_diag.iter().zip(&fy.l_diag).enumerate() {
-                assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: l_diag[{i}] of partition {p}");
+            assert_blocks_bitwise_equal(&fx.blocks, &fy.blocks, &format!("{tag}: partition {p}"));
+            assert_eq!(fx.left.len(), fy.left.len(), "{tag}: left count of partition {p}");
+            for (i, (mx, my)) in fx.left.iter().zip(&fy.left).enumerate() {
+                assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: left[{i}] of partition {p}");
             }
-            for (i, (mx, my)) in fx.l_sub.iter().zip(&fy.l_sub).enumerate() {
-                assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: l_sub[{i}] of partition {p}");
-            }
-            for (i, (mx, my)) in fx.l_left.iter().zip(&fy.l_left).enumerate() {
-                assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: l_left[{i}] of partition {p}");
-            }
-            for (i, (mx, my)) in fx.l_arrow.iter().zip(&fy.l_arrow).enumerate() {
-                assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: l_arrow[{i}] of partition {p}");
-            }
-            match (&fx.l_right, &fy.l_right) {
+            match (&fx.right, &fy.right) {
                 (Some(mx), Some(my)) => {
-                    assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: l_right of partition {p}")
+                    assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: right of partition {p}")
                 }
                 (None, None) => {}
-                _ => panic!("{tag}: l_right presence mismatch in partition {p}"),
+                _ => panic!("{tag}: right presence mismatch in partition {p}"),
             }
         }
         assert_eq!(
@@ -1254,9 +1169,8 @@ mod tests {
         assert_chol_bitwise_equal(rx, ry, &format!("{tag}: reduced factor"));
     }
 
-    /// Exact (bitwise) equality of two BTA Cholesky factors, block by block.
-    fn assert_chol_bitwise_equal(x: &BtaCholesky, y: &BtaCholesky, tag: &str) {
-        let (bx, by) = (&x.blocks, &y.blocks);
+    /// Exact (bitwise) equality of two BTA block sets, block by block.
+    fn assert_blocks_bitwise_equal(bx: &BtaMatrix, by: &BtaMatrix, tag: &str) {
         assert_eq!(bx.n, by.n, "{tag}: block count");
         for (i, (mx, my)) in bx.diag.iter().zip(&by.diag).enumerate() {
             assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: diag[{i}]");
@@ -1270,20 +1184,14 @@ mod tests {
         assert_eq!(bx.tip.max_abs_diff(&by.tip), 0.0, "{tag}: tip");
     }
 
+    /// Exact (bitwise) equality of two BTA Cholesky factors, block by block.
+    fn assert_chol_bitwise_equal(x: &BtaCholesky, y: &BtaCholesky, tag: &str) {
+        assert_blocks_bitwise_equal(&x.blocks, &y.blocks, tag);
+    }
+
     /// Exact (bitwise) equality of two selected inverses, block by block.
     fn assert_selinv_bitwise_equal(x: &BtaSelectedInverse, y: &BtaSelectedInverse, tag: &str) {
-        let (bx, by) = (&x.blocks, &y.blocks);
-        assert_eq!(bx.n, by.n, "{tag}: block count");
-        for (i, (mx, my)) in bx.diag.iter().zip(&by.diag).enumerate() {
-            assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: diag[{i}]");
-        }
-        for (i, (mx, my)) in bx.sub.iter().zip(&by.sub).enumerate() {
-            assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: sub[{i}]");
-        }
-        for (i, (mx, my)) in bx.arrow.iter().zip(&by.arrow).enumerate() {
-            assert_eq!(mx.max_abs_diff(my), 0.0, "{tag}: arrow[{i}]");
-        }
-        assert_eq!(bx.tip.max_abs_diff(&by.tip), 0.0, "{tag}: tip");
+        assert_blocks_bitwise_equal(&x.blocks, &y.blocks, tag);
     }
 
     #[test]
@@ -1380,10 +1288,10 @@ mod tests {
         for (n, part) in &cases {
             for aa in [0, 2] {
                 let m = test_matrix(*n, b, aa, 61);
-                let mut contribs: Vec<SchurContribution> = (0..part.num_partitions())
-                    .map(|p| factor_partition(&m, part, p, InteriorSchedule::Indivisible).unwrap().1)
-                    .collect();
-                let got = assemble_reduced(&m, part, &mut contribs).to_dense();
+                let (partitions, mut contribs): (Vec<_>, Vec<_>) = (0..part.num_partitions())
+                    .map(|p| factor_interior(&m, part, p, InteriorSchedule::Indivisible).unwrap())
+                    .unzip();
+                let got = assemble_reduced(&m, part, &partitions, &mut contribs).to_dense();
 
                 let seps = part.separators();
                 let blocks = |ks: Vec<usize>| ks.into_iter().flat_map(move |k| k * b..(k + 1) * b);

@@ -6,12 +6,14 @@
 //!
 //! * [`bta`] — block-dense storage of block-tridiagonal-with-arrowhead (BTA)
 //!   matrices and their Cholesky factors,
-//! * [`sequential`] — `pobtaf` / `pobtas` / `pobtasi` reference kernels
-//!   (factorization, triangular solve, selected inversion),
+//! * [`sequential`] — `pobtaf` / `pobtas` / `pobtasi`, the monolithic
+//!   factorization, triangular solve and selected inversion: the
+//!   no-separator case of the partitioned column loop and span sweeps,
 //! * [`partition`] — time-domain partitioning with load balancing,
 //! * [`distributed`] — `d_pobtaf` / `d_pobtas` / `d_pobtasi`, the
 //!   nested-dissection partitioned variants executed in parallel over
 //!   partitions (the in-process analogue of the paper's multi-GPU scheme),
+//!   and the one loop per phase that every BTA routine runs,
 //! * [`streaming`] — `pobtaf_extend` / `pobtaf_retire`, incremental
 //!   trailing-block refactorization for sliding temporal windows,
 //! * [`testing`] — deterministic SPD test matrices.

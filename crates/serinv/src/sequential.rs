@@ -1,4 +1,4 @@
-//! Sequential BTA solver kernels: Cholesky factorization (`pobtaf`),
+//! Monolithic BTA solver kernels: Cholesky factorization (`pobtaf`),
 //! triangular solve (`pobtas`) and selected inversion (`pobtasi`).
 //!
 //! The routine names follow the Serinv library the paper integrates
@@ -18,6 +18,12 @@
 //! Schur updates onto `D_{i+1}`, `C_{i+1}` and the tip `T` — a complexity of
 //! `O(n (b³ + a³))` versus the `O((n b)³)` of a dense factorization.
 //!
+//! A monolithic factor is the no-separator case of the partitioned scheme in
+//! [`crate::distributed`]: these routines run its column loop and its span
+//! sweeps over every block column, inline on one packing buffer, and add
+//! only what a partition interior does not have — the tip `potrf`, the tip
+//! solves and the tip inverse.
+//!
 //! Every dense kernel call bottoms out in the cache-blocked, packed
 //! micro-kernels of `dalia_la::blas`. The `*_with` entry points thread a
 //! reusable [`PackBuffer`] through the block loop so a stateful caller (the
@@ -26,7 +32,7 @@
 //! a transient buffer per call.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
-use crate::distributed::{factor_columns, Lanes};
+use crate::distributed::{factor_columns, Boundary, Lanes, Span};
 use crate::SerinvError;
 use dalia_la::blas::{self, PackBuffer, Side, Trans, Triangle};
 use dalia_la::Matrix;
@@ -57,7 +63,7 @@ pub fn pobtaf_with(
         }
         _ => a.clone(),
     };
-    factor_columns(&mut m, 0, &mut Lanes::Inline(pack))?;
+    factor_columns(&mut m, 0, &mut Lanes::Inline(pack), None)?;
     Ok(BtaCholesky { blocks: m })
 }
 
@@ -72,36 +78,21 @@ pub fn pobtas(factor: &BtaCholesky, rhs: &mut Matrix) {
 /// [`pobtas`] with an explicit kernel packing workspace.
 pub fn pobtas_with(factor: &BtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffer) {
     let m = &factor.blocks;
-    let (n, b, a) = (m.n, m.b, m.a);
     assert_eq!(rhs.nrows(), m.dim(), "pobtas: rhs dimension mismatch");
-    let k = rhs.ncols();
-    let a0 = n * b;
+    let span = Span::whole(m);
+    let mut lanes = Lanes::Inline(pack);
 
-    // Forward substitution: L y = rhs.
-    for i in 0..n {
-        if i > 0 {
-            // rhs_i -= B_{i-1} y_{i-1}.
-            let y_prev = rhs.block((i - 1) * b, 0, b, k);
-            let mut update = Matrix::zeros(b, k);
-            blas::gemm_with(pack, Trans::No, Trans::No, 1.0, &m.sub[i - 1], &y_prev, 0.0, &mut update);
-            rhs.add_block(i * b, 0, -1.0, &update);
-        }
-        let mut yi = rhs.block(i * b, 0, b, k);
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::No, &m.diag[i], &mut yi);
-        rhs.set_block(i * b, 0, &yi);
-        if a > 0 {
-            // rhs_T -= C_i y_i.
-            let mut update = Matrix::zeros(a, k);
-            blas::gemm_with(pack, Trans::No, Trans::No, 1.0, &m.arrow[i], &yi, 0.0, &mut update);
-            rhs.add_block(a0, 0, -1.0, &update);
-        }
-    }
-    if a > 0 {
-        let mut yt = rhs.block(a0, 0, a, k);
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::No, &m.tip, &mut yt);
+    // Forward substitution L y = rhs: the block columns, then the tip.
+    let forward = span.forward(rhs, &mut lanes);
+    span.scatter(rhs, &forward.y);
+    let a0 = m.n * m.b;
+    rhs.add_block(a0, 0, -1.0, &forward.tip);
+    if m.a > 0 {
+        let mut yt = rhs.block(a0, 0, m.a, rhs.ncols());
+        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, &m.tip, &mut yt);
         rhs.set_block(a0, 0, &yt);
     }
-    backward_sweep(m, rhs, pack);
+    solve_transposed(m, rhs, &mut lanes);
 }
 
 /// Backward-only BTA triangular solve: `Lᵀ X = B` for the factor from
@@ -114,36 +105,22 @@ pub fn pobtas_with(factor: &BtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffer
 /// `N(μ, Q⁻¹)` at the cost of one backward sweep per right-hand-side column.
 pub fn pobtas_lt(factor: &BtaCholesky, rhs: &mut Matrix) {
     assert_eq!(rhs.nrows(), factor.blocks.dim(), "pobtas_lt: rhs dimension mismatch");
-    backward_sweep(&factor.blocks, rhs, &mut PackBuffer::new());
+    solve_transposed(&factor.blocks, rhs, &mut Lanes::Inline(&mut PackBuffer::new()));
 }
 
-/// Backward substitution `Lᵀ X = Y`, overwriting `rhs`, for the factor
-/// blocks `m`: the second half of [`pobtas_with`] and the whole of
-/// [`pobtas_lt`]. The caller checks the dimension.
-fn backward_sweep(m: &BtaMatrix, rhs: &mut Matrix, pack: &mut PackBuffer) {
-    let (n, b, a) = (m.n, m.b, m.a);
-    let k = rhs.ncols();
-    let a0 = n * b;
-    if a > 0 {
-        let mut xt = rhs.block(a0, 0, a, k);
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.tip, &mut xt);
+/// `Lᵀ X = Y` for a whole factor, overwriting `rhs`: the tip, then the
+/// backward sweep over the block columns. The caller checks the dimension.
+fn solve_transposed(m: &BtaMatrix, rhs: &mut Matrix, lanes: &mut Lanes) {
+    let a0 = m.n * m.b;
+    let x_tip = (m.a > 0).then(|| {
+        let mut xt = rhs.block(a0, 0, m.a, rhs.ncols());
+        blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, &m.tip, &mut xt);
         rhs.set_block(a0, 0, &xt);
-    }
-    for i in (0..n).rev() {
-        let mut yi = rhs.block(i * b, 0, b, k);
-        if i + 1 < n {
-            // y_i -= B_iᵀ x_{i+1}.
-            let x_next = rhs.block((i + 1) * b, 0, b, k);
-            blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &m.sub[i], &x_next, 1.0, &mut yi);
-        }
-        if a > 0 {
-            // y_i -= C_iᵀ x_T.
-            let x_t = rhs.block(a0, 0, a, k);
-            blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &m.arrow[i], &x_t, 1.0, &mut yi);
-        }
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.diag[i], &mut yi);
-        rhs.set_block(i * b, 0, &yi);
-    }
+        xt
+    });
+    let span = Span::whole(m);
+    let x = span.backward(rhs, None, None, x_tip.as_ref(), lanes);
+    span.scatter(rhs, &x);
 }
 
 /// Selected inverse of a BTA matrix: the blocks of `A⁻¹` on the BTA pattern.
@@ -183,73 +160,16 @@ pub fn pobtasi(factor: &BtaCholesky) -> BtaSelectedInverse {
 /// backward block sweep (pure `trsm` / `gemm` work).
 pub fn pobtasi_with(factor: &BtaCholesky, pack: &mut PackBuffer) -> BtaSelectedInverse {
     let m = &factor.blocks;
-    let (n, b, a) = (m.n, m.b, m.a);
-    let mut inv = BtaMatrix::zeros(n, b, a);
-
     // Σ_TT = L_TT^{-T} L_TT^{-1}.
-    if a > 0 {
-        let mut tip_inv = Matrix::identity(a);
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::No, &m.tip, &mut tip_inv);
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.tip, &mut tip_inv);
-        inv.tip = tip_inv;
+    let mut tip = Matrix::identity(m.a);
+    if m.a > 0 {
+        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::No, &m.tip, &mut tip);
+        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, &m.tip, &mut tip);
     }
-
-    for i in (0..n).rev() {
-        let l_ii = &m.diag[i];
-        // L_ii^{-1}.
-        let mut l_inv = Matrix::identity(b);
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::No, l_ii, &mut l_inv);
-
-        // Σ_{R,i} = −Σ_{R,R} L_{R,i} L_ii^{-1} with R the sub-rows of column i.
-        let mut sigma_sub = Matrix::zeros(b, b); // Σ_{i+1,i}
-        let mut sigma_arr = Matrix::zeros(a, b); // Σ_{T,i}
-        if i + 1 < n {
-            let b_i = &m.sub[i];
-            // Σ_{i+1,i} = −(Σ_{i+1,i+1} B_i + Σ_{T,i+1}ᵀ C_i) L_ii^{-1}.
-            blas::gemm_with(pack, Trans::No, Trans::No, -1.0, &inv.diag[i + 1], b_i, 0.0, &mut sigma_sub);
-            if a > 0 {
-                blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &inv.arrow[i + 1], &m.arrow[i], 1.0, &mut sigma_sub);
-            }
-            let mut tmp = Matrix::zeros(b, b);
-            blas::gemm_with(pack, Trans::No, Trans::No, 1.0, &sigma_sub, &l_inv, 0.0, &mut tmp);
-            sigma_sub = tmp;
-            if a > 0 {
-                // Σ_{T,i} = −(Σ_{T,i+1} B_i + Σ_TT C_i) L_ii^{-1}.
-                blas::gemm_with(pack, Trans::No, Trans::No, -1.0, &inv.arrow[i + 1], b_i, 0.0, &mut sigma_arr);
-                blas::gemm_with(pack, Trans::No, Trans::No, -1.0, &inv.tip, &m.arrow[i], 1.0, &mut sigma_arr);
-                let mut tmp = Matrix::zeros(a, b);
-                blas::gemm_with(pack, Trans::No, Trans::No, 1.0, &sigma_arr, &l_inv, 0.0, &mut tmp);
-                sigma_arr = tmp;
-            }
-        } else if a > 0 {
-            // Last block column: only the arrow row below.
-            blas::gemm_with(pack, Trans::No, Trans::No, -1.0, &inv.tip, &m.arrow[i], 0.0, &mut sigma_arr);
-            let mut tmp = Matrix::zeros(a, b);
-            blas::gemm_with(pack, Trans::No, Trans::No, 1.0, &sigma_arr, &l_inv, 0.0, &mut tmp);
-            sigma_arr = tmp;
-        }
-
-        // Σ_ii = L_ii^{-T}(L_ii^{-1} − B_iᵀ Σ_{i+1,i} − C_iᵀ Σ_{T,i}).
-        let mut inner = l_inv.clone();
-        if i + 1 < n {
-            blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &m.sub[i], &sigma_sub, 1.0, &mut inner);
-        }
-        if a > 0 {
-            blas::gemm_with(pack, Trans::Yes, Trans::No, -1.0, &m.arrow[i], &sigma_arr, 1.0, &mut inner);
-        }
-        blas::trsm_with(pack, Side::Left, Triangle::Lower, Trans::Yes, l_ii, &mut inner);
-        // Numerical symmetrization of the diagonal block.
-        inner.symmetrize();
-
-        inv.diag[i] = inner;
-        if i + 1 < n {
-            inv.sub[i] = sigma_sub;
-        }
-        if a > 0 {
-            inv.arrow[i] = sigma_arr;
-        }
-    }
-    BtaSelectedInverse { blocks: inv }
+    let sig = Boundary { ls_ls: None, rs_rs: None, rs_ls: None, t_ls: None, t_rs: None, tt: &tip };
+    let sel = Span::whole(m).selected_inverse(&sig, &mut Lanes::Inline(pack));
+    let blocks = BtaMatrix { n: m.n, b: m.b, a: m.a, diag: sel.diag, sub: sel.sub, arrow: sel.arrow, tip };
+    BtaSelectedInverse { blocks }
 }
 
 #[cfg(test)]
@@ -336,17 +256,19 @@ mod tests {
 
     #[test]
     fn pobtas_lt_matches_dense_transpose_solve() {
-        for (n, b, a, seed) in [(5usize, 3usize, 2usize, 5u64), (4, 3, 0, 7), (1, 4, 2, 10)] {
+        // (n=1, a=0) has neither a carried term nor a tip; b = 40 with 32
+        // right-hand sides takes the packed kernels.
+        for (n, b, a, seed, k) in [(5usize, 3usize, 2usize, 5u64, 3usize), (4, 3, 0, 7, 3), (1, 4, 2, 10, 3), (1, 4, 0, 13, 3), (3, 40, 2, 14, 32)] {
             let m = test_matrix(n, b, a, seed);
             let f = pobtaf(&m).unwrap();
-            let x_true = test_rhs(m.dim(), 3);
+            let x_true = test_rhs(m.dim(), k);
             // Dense reference: rhs = Lᵀ x_true, so the solve must recover x_true.
             let l = f.to_dense_factor();
             let mut rhs = blas::matmul(&l.transpose(), &x_true);
             pobtas_lt(&f, &mut rhs);
             assert!(
                 rhs.max_abs_diff(&x_true) < 1e-9,
-                "pobtas_lt mismatch for (n={n}, b={b}, a={a})"
+                "pobtas_lt mismatch for (n={n}, b={b}, a={a}, k={k})"
             );
         }
     }
@@ -467,12 +389,21 @@ mod tests {
 
     #[test]
     fn single_block_matrix() {
-        let a = test_matrix(1, 4, 2, 10);
-        let f = pobtaf(&a).unwrap();
-        let sel = pobtasi(&f);
-        let dense_inv = chol::spd_inverse(&a.to_dense()).unwrap();
-        for (i, v) in sel.diagonal().iter().enumerate() {
-            assert!((v - dense_inv[(i, i)]).abs() < 1e-10);
+        // One block column, with and without an arrow; the solve takes 32
+        // right-hand sides.
+        for a in [2, 0] {
+            let m = test_matrix(1, 4, a, 10);
+            let f = pobtaf(&m).unwrap();
+            let sel = pobtasi(&f);
+            let dense = m.to_dense();
+            let dense_inv = chol::spd_inverse(&dense).unwrap();
+            for (i, v) in sel.diagonal().iter().enumerate() {
+                assert!((v - dense_inv[(i, i)]).abs() < 1e-10, "a={a}: variance {i}");
+            }
+            let x_true = test_rhs(m.dim(), 32);
+            let mut x = blas::matmul(&dense, &x_true);
+            pobtas(&f, &mut x);
+            assert!(x.max_abs_diff(&x_true) < 1e-9, "a={a}: solve");
         }
     }
 }

@@ -194,7 +194,7 @@ pub fn pobtaf_extend_scheduled(
         }
     }
 
-    factor_columns(m, c0, &mut lanes)
+    factor_columns(m, c0, &mut lanes, None)
 }
 
 /// Retire leading block columns: refactorize `a_new` (the assembled matrix
@@ -240,7 +240,7 @@ pub fn pobtaf_retire_scheduled(
     m.n = a_new.n;
     m.copy_values_from(a_new);
 
-    factor_columns(m, 0, &mut Lanes::new(&mut packs.lanes, sched, a_new.b, a_new.n))
+    factor_columns(m, 0, &mut Lanes::new(&mut packs.lanes, sched, a_new.b, a_new.n), None)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Allocation-count pins: the distributed solve / selected-inverse passes,
-//! and the warm sequential factorization.
+//! the warm sequential factorization, and the warm sequential solve and
+//! selected inversion.
 //!
 //! `d_pobtas` / `d_pobtasi` sit in the per-θ hot loop, so their reduced-system
 //! coupling blocks must be shared across partitions, not cloned per partition
@@ -137,3 +138,38 @@ fn warm_pobtaf_with_allocates_nothing() {
         });
     }
 }
+
+#[test]
+fn warm_pobtas_with_and_pobtasi_with_stay_within_budget() {
+    use dalia_la::PackBuffer;
+    use serinv::{pobtaf_with, pobtas_with, pobtasi_with};
+    let _serial = serial();
+
+    // The serving solve and the streaming re-pin run these two on a warm
+    // pack; b = 64 with 8 right-hand sides reaches the packed kernels.
+    let (n, b, a) = (4, 64, 8);
+    let m = test_matrix(n, b, a, 19);
+    let rhs0 = test_rhs(m.dim(), 8);
+    let pool = dalia_pool::ThreadPool::new(1);
+    pool.install(|| {
+        let mut pack = PackBuffer::new();
+        let f = pobtaf_with(&m, None, &mut pack).expect("factorizes");
+        let mut x = rhs0.clone();
+        pobtas_with(&f, &mut x, &mut pack);
+        let _warm = pobtasi_with(&f, &mut pack);
+
+        let mut x = rhs0.clone();
+        let solve = allocs_during(|| pobtas_with(&f, &mut x, &mut pack));
+        let selinv = allocs_during(|| {
+            let _sel = pobtasi_with(&f, &mut pack);
+        });
+        eprintln!("warm allocations: pobtas_with = {solve}, pobtasi_with = {selinv}");
+        assert!(solve <= POBTAS_ALLOC_BUDGET, "warm pobtas_with allocated {solve} times");
+        assert!(selinv <= POBTASI_ALLOC_BUDGET, "warm pobtasi_with allocated {selinv} times");
+    });
+}
+
+// The steady-state counts of the per-column loops these sweeps replaced, on
+// the shape above: the sweeps must not allocate more than they did.
+const POBTAS_ALLOC_BUDGET: usize = 27;
+const POBTASI_ALLOC_BUDGET: usize = 39;

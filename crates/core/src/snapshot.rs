@@ -9,7 +9,7 @@
 //! everywhere. Wrap one in an `Arc` and any number of threads can answer
 //! predictions, latent-marginal lookups and posterior draws concurrently
 //! without touching the fit-time [`InlaSession`](crate::engine::InlaSession)
-//! again. The `dalia-serve` crate builds its batching front-end on exactly
+//! again. The `dalia-serve` crate builds its concurrent front-end on exactly
 //! this type.
 //!
 //! Snapshots are produced by

@@ -959,20 +959,6 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
             let seps = partitioning.separators();
             let red = pobtasi(reduced).blocks;
 
-            // The separator and tip blocks come straight from the reduced
-            // selected inverse.
-            let mut inv = BtaMatrix::zeros(n, b, a);
-            inv.tip = red.tip.clone();
-            for (kk, &sep) in seps.iter().enumerate() {
-                inv.diag[sep] = red.diag[kk].clone();
-                inv.arrow[sep] = red.arrow[kk].clone();
-                // Coupling between adjacent separators (only when the
-                // partition between them has no interior blocks).
-                if seps.get(kk + 1) == Some(&(sep + 1)) {
-                    inv.sub[sep] = red.sub[kk].clone();
-                }
-            }
-
             // Selected-inversion sweeps on the interiors (parallel), reading
             // the reduced blocks by reference.
             let parts: Vec<SpanInverse> = partitions
@@ -993,23 +979,37 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
                 })
                 .collect();
 
+            // Assemble the output in column order by moving every block: each
+            // partition's interior columns, then its right separator's, which
+            // come straight from the reduced selected inverse.
+            let (mut diag, mut arrow) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            let mut sub = Vec::with_capacity(n - 1);
+            let BtaMatrix { diag: red_diag, sub: red_sub, arrow: red_arrow, tip, .. } = red;
+            let mut red_sub = red_sub.into_iter();
+            let mut red_seps = red_diag.into_iter().zip(red_arrow);
             for (pf, part) in partitions.iter().zip(parts) {
-                let (s, e) = pf.interior;
-                for (dst, src) in [(&mut inv.diag, part.diag), (&mut inv.sub, part.sub), (&mut inv.arrow, part.arrow)] {
-                    for (j, m) in src.into_iter().enumerate() {
-                        dst[s + j] = m;
-                    }
+                if pf.p > 0 {
+                    // The block below the left separator: Σ_{s,ls} = Σ_{ls,s}ᵀ,
+                    // or, with no interior, the coupling of two adjacent
+                    // separators in the reduced system.
+                    let between = red_sub.next();
+                    sub.push(match part.left.first() {
+                        Some(m) => m.transpose(),
+                        None => between.expect("an empty interior lies between two separators"),
+                    });
                 }
-                if let Some(m) = part.right {
-                    inv.sub[e - 1] = m;
-                }
-                // Σ_{s,ls} = Σ_{ls,s}ᵀ is the sub-diagonal block at (s, s−1).
-                if let Some(m) = part.left.first() {
-                    inv.sub[s - 1] = m.transpose();
+                diag.extend(part.diag);
+                sub.extend(part.sub);
+                sub.extend(part.right);
+                arrow.extend(part.arrow);
+                if let Some((d, c)) = red_seps.next() {
+                    diag.push(d);
+                    arrow.push(c);
                 }
             }
+            debug_assert_eq!((diag.len(), sub.len(), arrow.len()), (n, n - 1, n));
 
-            BtaSelectedInverse { blocks: inv }
+            BtaSelectedInverse { blocks: BtaMatrix { n, b, a, diag, sub, arrow, tip } }
         }
     }
 }

@@ -1,30 +1,28 @@
-//! # dalia-serve — batched read-only posterior serving
+//! # dalia-serve — concurrent read-only posterior serving
 //!
-//! The serving layer of DALIA-RS: an [`InlaService`] front-end that admits
+//! The serving layer of DALIA-RS: an [`InlaService`] front-end that answers
 //! predictive queries from many concurrent clients against one immutable
-//! [`PosteriorSnapshot`] and coalesces them, under a configurable batching
-//! window and size, into bursts executed in parallel on `dalia-pool`.
+//! [`PosteriorSnapshot`], each request running as one task on `dalia-pool`.
 //!
-//! ## Why a snapshot, why batching
+//! ## Why a snapshot
 //!
 //! A fit-time [`InlaSession`](dalia_core::InlaSession) funnels every query
 //! through mutable solver workspaces; nothing can serve concurrent read-only
 //! traffic. The snapshot freezes the fitted artifacts — the Cholesky factor
 //! of `Q_c(θ*)`, conditional mean, selected-inverse marginals, the
 //! hyperparameter posterior — behind `&self` methods, so one snapshot answers
-//! any number of threads. The service adds admission control on top: clients
-//! that arrive within one `batch_window` ride in one coalesced batch whose
-//! requests execute as parallel tasks on the pool, amortizing thread wake-ups
-//! and keeping every worker busy under load.
+//! any number of threads. The service validates and plans each request on
+//! its caller's thread, then runs it as a single `install` task on the pool
+//! and returns the answer to that caller with its queue and solve times.
 //!
 //! ## Determinism contract
 //!
 //! Each request is answered by a pure function of `(snapshot, request)` —
 //! requests are *never* merged into a shared multi-RHS solve across request
 //! boundaries (each request's own targets already form one blocked solve).
-//! Results are therefore bitwise identical regardless of batch composition,
-//! concurrency, or arrival order; a stress test pins this. See the "Serving"
-//! section of `docs/architecture.md` for the policy rationale.
+//! Results are therefore bitwise identical regardless of concurrency or
+//! arrival order; a stress test pins this. See the "Serving" section of
+//! `docs/architecture.md` for the rationale.
 //!
 //! ```
 //! use dalia_core::{InlaEngine, VarianceMode};
@@ -56,7 +54,8 @@
 //!     )
 //!     .unwrap();
 //! assert!(served.value.sd[0] > 0.0);
-//! assert_eq!(served.timing.batch_size, 1);
+//! assert!(served.timing.queue_seconds >= 0.0 && served.timing.solve_seconds >= 0.0);
+//! assert_eq!(service.stats().requests, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -64,10 +63,10 @@
 use dalia_core::snapshot::{PosteriorSnapshot, VarianceMode};
 use dalia_core::{CoreError, Prediction};
 use dalia_la::Matrix;
-use dalia_model::{PredictionPlan, PredictionTarget};
+use dalia_model::PredictionTarget;
 use dalia_pool::ThreadPool;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Errors produced by the serving layer.
 #[derive(Clone, Debug)]
@@ -82,8 +81,6 @@ pub enum ServeError {
         /// The snapshot's latent dimension.
         dim: usize,
     },
-    /// The service configuration failed [`ServeConfig::validate`].
-    InvalidConfig(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -92,9 +89,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Core(e) => write!(f, "serve: {e}"),
             ServeError::IndexOutOfRange { index, dim } => {
                 write!(f, "serve: latent index {index} out of range (latent dimension {dim})")
-            }
-            ServeError::InvalidConfig(reason) => {
-                write!(f, "serve: invalid service configuration: {reason}")
             }
         }
     }
@@ -108,60 +102,22 @@ impl From<CoreError> for ServeError {
     }
 }
 
-/// Admission-control knobs of an [`InlaService`].
-#[derive(Clone, Copy, Debug)]
+/// Configuration of an [`InlaService`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServeConfig {
-    /// Close the batching window early once this many requests are pending.
-    /// The cap steers the window, it does not split batches: a drain takes
-    /// everything pending at that instant.
-    pub max_batch: usize,
-    /// How long the first client of a batch (the *leader*) waits for
-    /// followers before executing. `Duration::ZERO` disables coalescing —
-    /// every request executes immediately (the unbatched baseline).
-    pub batch_window: Duration,
-    /// Worker threads of the service's own execution pool; `0` shares the
-    /// process-global `dalia-pool` instead of owning one.
+    /// Worker threads of the service's own execution pool; `0` (the
+    /// default) shares the process-global `dalia-pool` instead of owning one.
     pub workers: usize,
-}
-
-impl ServeConfig {
-    /// Validate the configuration, wired like
-    /// [`InlaSettings::validate`](dalia_core::InlaSettings::validate): called
-    /// by [`InlaService::new`], which refuses to construct a service from a
-    /// nonsensical configuration instead of misbehaving later.
-    ///
-    /// Rejects `max_batch == 0` (the leader's window-close condition
-    /// `pending >= max_batch` would hold vacuously, silently degrading every
-    /// batch to size 1 while claiming to coalesce — and any future splitting
-    /// drain would divide by it).
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.max_batch == 0 {
-            return Err(ServeError::InvalidConfig(
-                "max_batch must be at least 1 (0 would close every batching window \
-                 before a single request is admitted)"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self { max_batch: 32, batch_window: Duration::from_micros(200), workers: 0 }
-    }
 }
 
 /// Per-request phase timings, reported with every response.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeTiming {
-    /// Seconds from submission to execution start (window wait + queueing).
+    /// Seconds from the call until the request's task started on a worker.
     pub queue_seconds: f64,
     /// Seconds executing this request's own task (design application,
     /// triangular solves, sampling).
     pub solve_seconds: f64,
-    /// Number of requests in the coalesced batch this one rode in.
-    pub batch_size: usize,
 }
 
 /// A served response: the value plus its [`ServeTiming`].
@@ -176,92 +132,24 @@ pub struct Served<T> {
 /// Running counters of a service (see [`InlaService::stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Total requests admitted.
+    /// Total requests that passed validation and ran on the pool.
     pub requests: u64,
-    /// Total batches executed.
-    pub batches: u64,
-    /// Largest coalesced batch seen.
-    pub largest_batch: usize,
 }
 
 impl ServiceStats {
-    /// Mean requests per batch (1.0 when nothing coalesced).
+    // Requests per pool task, always 1.0 once a request has run (0.0 before).
+    // Kept only because `perfbench/` calls it; goes with the next benchmark change.
+    #[doc(hidden)]
     pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
+        if self.requests == 0 {
             0.0
         } else {
-            self.requests as f64 / self.batches as f64
+            1.0
         }
     }
 }
 
-/// The kinds of work a request can ask for. Prediction targets are resolved
-/// into a [`PredictionPlan`] on the *client* thread at submission, so
-/// execution is infallible and the mesh walk never blocks the batch.
-enum RequestKind {
-    Predict { plan: PredictionPlan, mode: VarianceMode, response_scale: bool },
-    LatentMarginals { indices: Vec<usize> },
-    Draws { n: usize, seed: u64 },
-}
-
-/// Response payload matching [`RequestKind`].
-enum Response {
-    Prediction(Prediction),
-    LatentMarginals(Vec<(f64, f64)>),
-    Draws(Matrix),
-}
-
-/// One client's rendezvous cell: filled by the executing task, awaited by the
-/// submitting thread.
-struct Slot {
-    done: Mutex<Option<(Response, ServeTiming)>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Self> {
-        Arc::new(Self { done: Mutex::new(None), cv: Condvar::new() })
-    }
-
-    fn fill(&self, value: (Response, ServeTiming)) {
-        *self.done.lock().expect("serve slot poisoned") = Some(value);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> (Response, ServeTiming) {
-        let mut g = self.done.lock().expect("serve slot poisoned");
-        loop {
-            match g.take() {
-                Some(v) => return v,
-                None => g = self.cv.wait(g).expect("serve slot poisoned"),
-            }
-        }
-    }
-}
-
-struct PendingRequest {
-    kind: RequestKind,
-    slot: Arc<Slot>,
-    submitted: Instant,
-}
-
-/// Leader–follower batch queue. The first client to find no active leader
-/// becomes the leader: it waits out the batching window (closing early at
-/// `max_batch`), drains everything pending into one batch, and executes it.
-/// Followers just park on their slot. Leadership is released at drain time,
-/// *before* execution, so a new batch can form (and run on the pool) while
-/// the previous one is still executing.
-struct BatchQueue {
-    state: Mutex<QueueState>,
-    leader_cv: Condvar,
-}
-
-struct QueueState {
-    pending: Vec<PendingRequest>,
-    leader_active: bool,
-}
-
-/// Which pool executes batches.
+/// Which pool executes requests.
 enum PoolHandle {
     Owned(ThreadPool),
     Global,
@@ -276,48 +164,37 @@ impl PoolHandle {
     }
 }
 
-/// A concurrent, batching front-end over one frozen [`PosteriorSnapshot`].
+/// A concurrent front-end over one frozen [`PosteriorSnapshot`].
 ///
 /// All methods take `&self`; share the service by reference (or `Arc`) across
 /// any number of client threads. See the [crate docs](self) for the
-/// coalescing policy and determinism contract.
+/// execution model and determinism contract.
 pub struct InlaService {
     snapshot: PosteriorSnapshot,
     config: ServeConfig,
     pool: PoolHandle,
-    queue: BatchQueue,
-    stats: Mutex<ServiceStats>,
+    requests: AtomicU64,
 }
 
 impl InlaService {
-    /// Wrap `snapshot` in a service with the given admission configuration,
-    /// validating the configuration first (see [`ServeConfig::validate`]).
+    /// Wrap `snapshot` in a service with the given configuration. No
+    /// configuration is rejected today; the `Result` leaves room for checks
+    /// without breaking callers.
     pub fn new(snapshot: PosteriorSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
-        config.validate()?;
         let pool = if config.workers == 0 {
             PoolHandle::Global
         } else {
             PoolHandle::Owned(ThreadPool::new(config.workers))
         };
-        Ok(Self {
-            snapshot,
-            config,
-            pool,
-            queue: BatchQueue {
-                state: Mutex::new(QueueState { pending: Vec::new(), leader_active: false }),
-                leader_cv: Condvar::new(),
-            },
-            stats: Mutex::new(ServiceStats::default()),
-        })
+        Ok(Self { snapshot, config, pool, requests: AtomicU64::new(0) })
     }
 
     /// Swap the frozen snapshot for `next`, returning the previous one — the
     /// serving side of a streaming window: the owner advances a
     /// [`StreamingWindow`](dalia_core::StreamingWindow), freezes it with its
     /// cheap re-snapshot path, and swaps it in here without tearing down the
-    /// service, its pool, or its batching queue. Requires `&mut self` (i.e. a
-    /// quiescent service); under an `Arc`-shared service, swap at the
-    /// `Arc` level instead.
+    /// service or its pool. Requires `&mut self` (i.e. a quiescent service);
+    /// under an `Arc`-shared service, swap at the `Arc` level instead.
     pub fn swap_snapshot(&mut self, next: PosteriorSnapshot) -> PosteriorSnapshot {
         std::mem::replace(&mut self.snapshot, next)
     }
@@ -327,7 +204,7 @@ impl InlaService {
         &self.snapshot
     }
 
-    /// The admission configuration.
+    /// The service configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
     }
@@ -337,46 +214,35 @@ impl InlaService {
         self.snapshot
     }
 
-    /// Running request/batch counters.
+    /// Running request counters.
     pub fn stats(&self) -> ServiceStats {
-        *self.stats.lock().expect("serve stats poisoned")
+        ServiceStats { requests: self.requests.load(Ordering::Relaxed) }
     }
 
     /// Predict at `targets` in the requested [`VarianceMode`]. Target
-    /// validation and the mesh walk happen on the calling thread before the
-    /// request enters the batch queue; the whole target set is answered by
-    /// one design application (plus, for [`VarianceMode::Exact`], one blocked
-    /// multi-RHS solve).
+    /// validation and the mesh walk happen on the calling thread; the whole
+    /// target set is then answered by one design application (plus, for
+    /// [`VarianceMode::Exact`], one blocked multi-RHS solve) on the pool.
     pub fn predict(
         &self,
         targets: &[PredictionTarget],
         mode: VarianceMode,
     ) -> Result<Served<Prediction>, ServeError> {
         let plan = self.snapshot.plan(targets)?;
-        let (resp, timing) =
-            self.submit(RequestKind::Predict { plan, mode, response_scale: false });
-        match resp {
-            Response::Prediction(p) => Ok(Served { value: p, timing }),
-            _ => unreachable!("serve: response kind mismatch"),
-        }
+        Ok(self.run(|s| s.predict_planned(&plan, mode)))
     }
 
     /// Predict at `targets` on the **response scale** of the model's
     /// likelihood (Poisson rate per unit exposure, Bernoulli success
     /// probability, identity for Gaussian), with delta-method standard
-    /// deviations. Same admission path as [`predict`](Self::predict).
+    /// deviations. Same execution path as [`predict`](Self::predict).
     pub fn predict_response(
         &self,
         targets: &[PredictionTarget],
         mode: VarianceMode,
     ) -> Result<Served<Prediction>, ServeError> {
         let plan = self.snapshot.plan(targets)?;
-        let (resp, timing) =
-            self.submit(RequestKind::Predict { plan, mode, response_scale: true });
-        match resp {
-            Response::Prediction(p) => Ok(Served { value: p, timing }),
-            _ => unreachable!("serve: response kind mismatch"),
-        }
+        Ok(self.run(|s| s.predict_response_planned(&plan, mode)))
     }
 
     /// Look up `(mean, sd)` of the latent components `indices`.
@@ -388,112 +254,30 @@ impl InlaService {
         if let Some(&bad) = indices.iter().find(|&&i| i >= dim) {
             return Err(ServeError::IndexOutOfRange { index: bad, dim });
         }
-        let (resp, timing) =
-            self.submit(RequestKind::LatentMarginals { indices: indices.to_vec() });
-        match resp {
-            Response::LatentMarginals(v) => Ok(Served { value: v, timing }),
-            _ => unreachable!("serve: response kind mismatch"),
-        }
+        Ok(self.run(|s| indices.iter().map(|&i| s.latent_marginal(i)).collect()))
     }
 
     /// Draw `n` posterior samples of the latent field (one per column),
     /// deterministic per `(snapshot, n, seed)`.
     pub fn draws(&self, n: usize, seed: u64) -> Result<Served<Matrix>, ServeError> {
-        let (resp, timing) = self.submit(RequestKind::Draws { n, seed });
-        match resp {
-            Response::Draws(m) => Ok(Served { value: m, timing }),
-            _ => unreachable!("serve: response kind mismatch"),
-        }
+        Ok(self.run(|s| s.sample(n, seed)))
     }
 
-    /// Enqueue a validated request and drive the leader–follower protocol to
-    /// completion.
-    fn submit(&self, kind: RequestKind) -> (Response, ServeTiming) {
-        let slot = Slot::new();
-        let pending = PendingRequest { kind, slot: Arc::clone(&slot), submitted: Instant::now() };
-
-        let mut st = self.queue.state.lock().expect("serve queue poisoned");
-        st.pending.push(pending);
-        if st.leader_active {
-            // Follower: maybe close the leader's window early, then park.
-            if st.pending.len() >= self.config.max_batch {
-                self.queue.leader_cv.notify_one();
-            }
-            drop(st);
-            return slot.wait();
-        }
-
-        // Leader: wait out the window (or a full batch), then drain & execute.
-        st.leader_active = true;
-        let deadline = Instant::now() + self.config.batch_window;
-        while st.pending.len() < self.config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .queue
-                .leader_cv
-                .wait_timeout(st, deadline - now)
-                .expect("serve queue poisoned");
-            st = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        let batch: Vec<PendingRequest> = st.pending.drain(..).collect();
-        st.leader_active = false;
-        drop(st);
-
-        self.execute_batch(batch);
-        slot.wait()
-    }
-
-    /// Run every request of `batch` as its own task on the pool. Requests are
-    /// deliberately *not* merged into one shared solve: per-request execution
-    /// keeps every answer a pure function of `(snapshot, request)`, so batch
-    /// composition can never perturb results (see the crate docs).
-    fn execute_batch(&self, batch: Vec<PendingRequest>) {
-        let n = batch.len();
-        {
-            let mut stats = self.stats.lock().expect("serve stats poisoned");
-            stats.requests += n as u64;
-            stats.batches += 1;
-            stats.largest_batch = stats.largest_batch.max(n);
-        }
+    /// Run `f` over the snapshot as one pool task and time it. A panic in
+    /// `f` unwinds into this caller only.
+    fn run<T: Send>(&self, f: impl FnOnce(&PosteriorSnapshot) -> T + Send) -> Served<T> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
         let snapshot = &self.snapshot;
-        self.pool.get().scope(|s| {
-            for req in batch {
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    let queue_seconds = t0.duration_since(req.submitted).as_secs_f64();
-                    let value = execute(snapshot, req.kind);
-                    let timing = ServeTiming {
-                        queue_seconds,
-                        solve_seconds: t0.elapsed().as_secs_f64(),
-                        batch_size: n,
-                    };
-                    req.slot.fill((value, timing));
-                });
-            }
-        });
-    }
-}
-
-/// Pure request execution against the frozen snapshot.
-fn execute(snapshot: &PosteriorSnapshot, kind: RequestKind) -> Response {
-    match kind {
-        RequestKind::Predict { plan, mode, response_scale } => Response::Prediction(
-            if response_scale {
-                snapshot.predict_response_planned(&plan, mode)
-            } else {
-                snapshot.predict_planned(&plan, mode)
-            },
-        ),
-        RequestKind::LatentMarginals { indices } => Response::LatentMarginals(
-            indices.iter().map(|&i| snapshot.latent_marginal(i)).collect(),
-        ),
-        RequestKind::Draws { n, seed } => Response::Draws(snapshot.sample(n, seed)),
+        let submitted = Instant::now();
+        self.pool.get().install(move || {
+            let started = Instant::now();
+            let value = f(snapshot);
+            let timing = ServeTiming {
+                queue_seconds: started.duration_since(submitted).as_secs_f64(),
+                solve_seconds: started.elapsed().as_secs_f64(),
+            };
+            Served { value, timing }
+        })
     }
 }
 
@@ -501,6 +285,8 @@ fn execute(snapshot: &PosteriorSnapshot, kind: RequestKind) -> Response {
 mod tests {
     use super::*;
     use dalia_core::{InlaEngine, InlaSettings};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
     use dalia_mesh::{Domain, Point, TriangleMesh};
     use dalia_model::{CoregionalModel, ModelHyper, Observation};
 
@@ -563,12 +349,12 @@ mod tests {
             let direct = svc.snapshot().predict_planned(&plan, mode);
             assert_eq!(served.value.mean, direct.mean, "{mode:?}");
             assert_eq!(served.value.sd, direct.sd, "{mode:?}");
-            assert_eq!(served.timing.batch_size, 1);
+            assert!(served.timing.queue_seconds >= 0.0);
             assert!(served.timing.solve_seconds >= 0.0);
         }
         let stats = svc.stats();
         assert_eq!(stats.requests, 2);
-        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.mean_batch(), 1.0);
     }
 
     #[test]
@@ -605,58 +391,9 @@ mod tests {
             svc.latent_marginals(&[0, dim]),
             Err(ServeError::IndexOutOfRange { index, .. }) if index == dim
         ));
-        // Rejected requests never entered the queue.
+        // Rejected requests never reached the pool.
         assert_eq!(svc.stats().requests, 0);
-    }
-
-    #[test]
-    fn zero_window_disables_coalescing() {
-        let (model, theta0) = toy_model();
-        let svc = service_for(
-            &model,
-            &theta0,
-            ServeConfig { batch_window: Duration::ZERO, ..ServeConfig::default() },
-        );
-        for i in 0..4 {
-            let served = svc.predict(&targets_near(i), VarianceMode::Diagonal).unwrap();
-            assert_eq!(served.timing.batch_size, 1);
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.batches, 4);
-        assert_eq!(stats.largest_batch, 1);
-        assert_eq!(stats.mean_batch(), 1.0);
-    }
-
-    #[test]
-    fn concurrent_clients_coalesce_under_a_wide_window() {
-        let (model, theta0) = toy_model();
-        let svc = service_for(
-            &model,
-            &theta0,
-            ServeConfig {
-                batch_window: Duration::from_millis(50),
-                max_batch: 8,
-                workers: 2,
-            },
-        );
-        std::thread::scope(|s| {
-            for i in 0..6 {
-                let svc = &svc;
-                s.spawn(move || svc.predict(&targets_near(i), VarianceMode::Exact).unwrap());
-            }
-        });
-        let stats = svc.stats();
-        assert_eq!(stats.requests, 6);
-        // With a 50ms window and near-simultaneous arrival, at least some
-        // coalescing must happen (strictly fewer batches than requests).
-        assert!(
-            stats.batches < 6,
-            "no coalescing: {} batches for {} requests",
-            stats.batches,
-            stats.requests
-        );
-        assert!(stats.largest_batch >= 2);
-        assert!(stats.mean_batch() > 1.0);
+        assert_eq!(svc.stats().mean_batch(), 0.0);
     }
 
     #[test]
@@ -675,27 +412,57 @@ mod tests {
         let e = ServeError::IndexOutOfRange { index: 9, dim: 4 };
         assert!(e.to_string().contains("9"));
         assert!(e.to_string().contains("4"));
-        let e = ServeError::InvalidConfig("max_batch must be at least 1".into());
-        assert!(e.to_string().contains("max_batch"));
+    }
+
+    fn bits(p: &Prediction) -> Vec<u64> {
+        p.mean.iter().chain(&p.sd).map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn zero_max_batch_is_rejected_at_construction() {
-        assert!(matches!(
-            ServeConfig { max_batch: 0, ..ServeConfig::default() }.validate(),
-            Err(ServeError::InvalidConfig(_))
-        ));
+    fn a_panicking_request_unwinds_only_into_its_own_caller() {
         let (model, theta0) = toy_model();
-        let session = InlaEngine::builder(&model)
-            .settings(InlaSettings::dalia(1))
-            .max_iter(2)
-            .build()
-            .unwrap();
-        let snapshot = session.run(&theta0).unwrap().into_snapshot(&session).unwrap();
-        assert!(matches!(
-            InlaService::new(snapshot, ServeConfig { max_batch: 0, ..ServeConfig::default() }),
-            Err(ServeError::InvalidConfig(_))
-        ));
+        let svc = service_for(&model, &theta0, ServeConfig { workers: 2 });
+        let targets = targets_near(4);
+        let plan = svc.snapshot().plan(&targets).unwrap();
+        let direct = bits(&svc.snapshot().predict_planned(&plan, VarianceMode::Exact));
+
+        // The failing request starts first and holds its worker until the
+        // concurrent client's answer is back, so both are on the pool at once.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (svc_ref, targets_ref) = (&svc, &targets);
+        let overlapped = &AtomicBool::new(false);
+        let (failed, concurrent) = std::thread::scope(|s| {
+            let client = s.spawn(move || {
+                started_rx.recv_timeout(Duration::from_secs(60)).unwrap();
+                let served = svc_ref.predict(targets_ref, VarianceMode::Exact).unwrap();
+                done_tx.send(()).unwrap();
+                served.value
+            });
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                svc.run(move |_| {
+                    started_tx.send(()).unwrap();
+                    let answered = done_rx.recv_timeout(Duration::from_secs(60)).is_ok();
+                    overlapped.store(answered, Ordering::Relaxed);
+                    panic!("injected request failure");
+                })
+            }));
+            (failed, client.join())
+        });
+        assert!(failed.is_err(), "the panic must reach its own caller");
+        assert!(
+            overlapped.load(Ordering::Relaxed),
+            "the concurrent request must run while the failing one holds its worker"
+        );
+        let concurrent = concurrent.expect("the concurrent client must not see the panic");
+        assert_eq!(bits(&concurrent), direct);
+
+        // Both workers are still serving.
+        for _ in 0..4 {
+            let after = svc.predict(&targets, VarianceMode::Exact).unwrap();
+            assert_eq!(bits(&after.value), direct);
+        }
+        assert_eq!(svc.stats().requests, 6);
     }
 
     #[test]

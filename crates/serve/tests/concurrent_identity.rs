@@ -3,17 +3,15 @@
 //!
 //! Twelve client threads hammer one `InlaService` with a mixed workload
 //! (diagonal predictions, exact-variance predictions, latent-marginal
-//! lookups, seeded posterior draws) under a wide batching window, so
-//! requests coalesce into shared batches in nondeterministic compositions.
-//! Every response must match, bit for bit, (a) a direct call on the
-//! underlying snapshot and (b) an unbatched (zero-window) service — the
-//! determinism contract of `dalia-serve`.
+//! lookups, seeded posterior draws), so requests interleave on the pool in
+//! nondeterministic orders. Every response must match, bit for bit, (a) a
+//! direct call on the underlying snapshot and (b) the same service queried
+//! one request at a time — the determinism contract of `dalia-serve`.
 
 use dalia_core::{InlaEngine, InlaResult, InlaSession, InlaSettings, VarianceMode};
 use dalia_mesh::{Domain, Point, TriangleMesh};
 use dalia_model::{CoregionalModel, ModelHyper, Observation, PredictionTarget};
 use dalia_serve::{InlaService, ServeConfig};
-use std::time::Duration;
 
 const CLIENTS: usize = 12;
 const ROUNDS: usize = 4;
@@ -136,32 +134,26 @@ fn concurrent_batched_serving_is_bitwise_identical_to_sequential() {
         }
     }
 
-    // Reference 2: an unbatched (zero-window) service, queried sequentially.
-    let unbatched =
-        InlaService::new(result.clone().into_snapshot(&session).unwrap(), ServeConfig {
-            batch_window: Duration::ZERO,
-            ..ServeConfig::default()
-        })
-        .unwrap();
+    // Reference 2: a service on the global pool, queried sequentially.
+    let sequential =
+        InlaService::new(result.clone().into_snapshot(&session).unwrap(), ServeConfig::default())
+            .unwrap();
     for client in 0..CLIENTS {
         for round in 0..ROUNDS {
-            let got = run_round(&unbatched, client, round);
+            let got = run_round(&sequential, client, round);
             assert_eq!(
                 got,
                 reference[client * ROUNDS + round],
-                "unbatched service diverged for client {client} round {round}"
+                "sequential service diverged for client {client} round {round}"
             );
         }
     }
 
-    // System under test: wide window + small max_batch, hammered by 12
-    // threads at once so batches form with arbitrary mixed compositions.
-    let service = InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig {
-        batch_window: Duration::from_millis(5),
-        max_batch: 6,
-        workers: 4,
-    })
-    .unwrap();
+    // System under test: a 4-worker service hammered by 12 threads at once,
+    // so requests of every kind interleave on the pool in arbitrary orders.
+    let service =
+        InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig { workers: 4 })
+            .unwrap();
     let results: Vec<Vec<RoundResult>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client| {
@@ -179,36 +171,24 @@ fn concurrent_batched_serving_is_bitwise_identical_to_sequential() {
             assert_eq!(
                 *got,
                 reference[client * ROUNDS + round],
-                "batched concurrent service diverged for client {client} round {round}"
+                "concurrent service diverged for client {client} round {round}"
             );
         }
     }
-
-    let stats = service.stats();
-    assert_eq!(stats.requests as usize, CLIENTS * ROUNDS * 4);
-    assert!(
-        stats.batches < stats.requests,
-        "expected coalescing under a 5ms window: {} batches for {} requests",
-        stats.batches,
-        stats.requests
-    );
+    assert_eq!(service.stats().requests as usize, CLIENTS * ROUNDS * 4);
 }
 
 #[test]
 fn zero_window_under_many_concurrent_clients_is_bitwise_identical() {
-    // `batch_window: Duration::ZERO` means every leader closes its batch
-    // immediately — under 12 concurrent clients most batches are singletons,
-    // racing constantly on the admission queue. The determinism contract
-    // must hold in this degenerate-batching regime too.
+    // Every request runs at once as its own task, with no admission window:
+    // 12 concurrent clients on the shared global pool race constantly for
+    // its workers. The determinism contract must hold there too, against a
+    // sequentially queried service on a pool of its own.
     let (model, theta0) = toy_model();
     let (session, result) = fit(&model, &theta0);
 
     let snapshot = session.snapshot(&result).unwrap();
-    let sequential = InlaService::new(snapshot, ServeConfig {
-        batch_window: Duration::ZERO,
-        ..ServeConfig::default()
-    })
-    .unwrap();
+    let sequential = InlaService::new(snapshot, ServeConfig { workers: 2 }).unwrap();
     let mut reference = Vec::with_capacity(CLIENTS * ROUNDS);
     for client in 0..CLIENTS {
         for round in 0..ROUNDS {
@@ -216,12 +196,8 @@ fn zero_window_under_many_concurrent_clients_is_bitwise_identical() {
         }
     }
 
-    let service = InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig {
-        batch_window: Duration::ZERO,
-        max_batch: 4,
-        workers: 4,
-    })
-    .unwrap();
+    let service =
+        InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig::default()).unwrap();
     let results: Vec<Vec<RoundResult>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client| {
@@ -239,7 +215,7 @@ fn zero_window_under_many_concurrent_clients_is_bitwise_identical() {
             assert_eq!(
                 *got,
                 reference[client * ROUNDS + round],
-                "zero-window concurrent service diverged for client {client} round {round}"
+                "concurrent global-pool service diverged for client {client} round {round}"
             );
         }
     }

@@ -1,12 +1,12 @@
 //! Serving example: fit a trivariate air-pollution model once, freeze the
 //! posterior into a `PosteriorSnapshot`, and serve concurrent downscaling
-//! queries, latent-marginal lookups and posterior draws through a batching
+//! queries, latent-marginal lookups and posterior draws through an
 //! `InlaService` — the read-only deployment mode of a completed DALIA fit.
 //!
 //! Run with: `cargo run --release --example serve_pollution`
 
 use dalia::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     // --- Fit once (identical to the multivariate_pollution example) -------
@@ -40,15 +40,12 @@ fn main() {
     );
 
     // --- Stand the serving front-end up on top of it -----------------------
-    let service = InlaService::new(
-        snapshot,
-        ServeConfig { max_batch: 16, batch_window: Duration::from_micros(500), workers: 0 },
-    )
-    .expect("valid serve config");
+    // Requests run on the process-global pool (`workers: 0`, the default).
+    let service = InlaService::new(snapshot, ServeConfig::default()).expect("serve config");
 
     // Eight "dashboard" clients concurrently downscale one pollutant each at
-    // staggered days, look marginals up and pull posterior draws. Requests
-    // arriving within the 500 µs window coalesce into shared batches.
+    // staggered days, look marginals up and pull posterior draws. Each
+    // request runs as its own pool task and returns to the client that sent it.
     let fine = observation_grid(&domain, 16, 8);
     let t0 = Instant::now();
     std::thread::scope(|s| {
@@ -77,10 +74,9 @@ fn main() {
                 println!(
                     "client {client}: pollutant {pollutant} day {day}: mean level {avg:+.2}, \
                      first cell 95% CI [{lo:+.2}, {hi:+.2}] \
-                     (queued {:.0} µs, solved {:.0} µs, rode in a batch of {})",
+                     (queued {:.0} µs, solved {:.0} µs)",
                     served.timing.queue_seconds * 1e6,
-                    served.timing.solve_seconds * 1e6,
-                    served.timing.batch_size
+                    served.timing.solve_seconds * 1e6
                 );
 
                 let marginals = service.latent_marginals(&[client]).expect("marginals");
@@ -99,11 +95,8 @@ fn main() {
 
     let stats = service.stats();
     println!(
-        "\nserved {} requests in {} batches (largest {}, mean {:.2}) in {:.1} ms",
+        "\nserved {} requests in {:.1} ms",
         stats.requests,
-        stats.batches,
-        stats.largest_batch,
-        stats.mean_batch(),
         t0.elapsed().as_secs_f64() * 1e3
     );
 }

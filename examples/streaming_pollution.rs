@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example streaming_pollution`
 
 use dalia::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     // --- Open the feed and fit the initial window --------------------------
@@ -49,9 +49,9 @@ fn main() {
     // --- Stand serving up on the fitted window ------------------------------
     let mut service = InlaService::new(
         session.snapshot(&result).expect("snapshot"),
-        ServeConfig { max_batch: 16, batch_window: Duration::from_micros(500), workers: 0 },
+        ServeConfig::default(),
     )
-    .expect("valid serve config");
+    .expect("serve config");
 
     // --- Follow the feed: slide the window one day at a time ----------------
     // The streaming window is pinned at the fitted hyperparameter mode θ̂;

@@ -9,9 +9,9 @@
 //!    query read-only.
 //! 2. **Throughput / latency grid**: queries-per-second and p50/p95/p99
 //!    client-observed latency for client counts {1, 2, 4, 8}, each client
-//!    issuing exact-variance predictions (the expensive mode: one blocked
-//!    multi-RHS solve per request) back-to-back against a 4-worker
-//!    `InlaService`.
+//!    issuing exact-variance predictions (one quadratic form per target
+//!    against the snapshot's kept selected inverse) back-to-back against a
+//!    4-worker `InlaService`.
 //! 3. **The acceptance gate**: concurrent serving (8 clients, 4 workers) must
 //!    reach **≥ 2× the throughput of one-query-at-a-time serving** (1
 //!    client). Skipped on hosts with fewer than 4 cores or when
@@ -30,12 +30,11 @@ use dalia_serve::{InlaService, ServeConfig};
 use std::time::Instant;
 
 /// Mesh resolution (structured unit-square grid) and time slices; latent
-/// dimension is `(cells+1)² · nt + 1`, big enough that an exact-variance
-/// request is real solver work rather than queueing noise.
+/// dimension is `(cells+1)² · nt + 1`.
 const MESH_CELLS: usize = 9;
 const NT: usize = 8;
-/// Targets per request: one request = one design application + one blocked
-/// `nt·b × K` multi-RHS solve.
+/// Targets per request: one request = one design application + one quadratic
+/// form per target against the kept selected inverse.
 const TARGETS_PER_REQUEST: usize = 32;
 /// Requests each client issues back-to-back in a scenario.
 const REQUESTS_PER_CLIENT: usize = 30;

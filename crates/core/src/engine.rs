@@ -40,7 +40,7 @@ use crate::posterior::{
     fixed_effect_summaries, latent_marginals, FixedEffectSummary, HyperMarginals, LatentMarginals,
 };
 use crate::settings::InlaSettings;
-use crate::snapshot::PosteriorSnapshot;
+use crate::snapshot::{PosteriorSnapshot, SelectedInverse};
 use crate::solver::{LatentSolver, PhaseTimers};
 use crate::CoreError;
 use dalia_model::{CoregionalModel, ModelHyper, Observation, ThetaPrior};
@@ -81,14 +81,16 @@ impl InlaResult {
     /// [`PosteriorSnapshot`], consuming the result's summaries (the
     /// non-cloning counterpart of [`InlaSession::snapshot`]).
     ///
-    /// Re-factorizes `Q_c` at the result's mode on a pooled solver (one-time
-    /// cost, recorded in the session timers) and extracts the portable
-    /// read-only factor; the optimizer trace and timing fields are dropped —
-    /// a snapshot is a serving artifact, not a fit report.
+    /// Re-factorizes `Q_c` at the result's mode on a pooled solver and runs
+    /// one selected inversion (one-time costs, recorded in the session
+    /// timers), then extracts the portable read-only factor and the kept
+    /// selected inverse that exact variances read; the optimizer trace and
+    /// timing fields are dropped — a snapshot is a serving artifact, not a
+    /// fit report.
     pub fn into_snapshot(self, session: &InlaSession) -> Result<PosteriorSnapshot, CoreError> {
         let mut solver = session.pool.acquire();
         solver.reset_timers();
-        let factor = solver.factorize_conditional(&self.hyper_mode).and_then(|()| {
+        let parts = solver.factorize_conditional(&self.hyper_mode).and_then(|()| {
             // Non-Gaussian families: the Gaussian approximation lives at the
             // conditional mode's working weights, not the η = 0 seed weights.
             if !session.model.likelihood().is_quadratic() {
@@ -96,18 +98,20 @@ impl InlaResult {
                 let w = solver.model().working_weights(&self.hyper_mode, &eta);
                 solver.refactorize_conditional(&w)?;
             }
-            solver.snapshot_factor()
+            Ok((solver.snapshot_factor()?, solver.selected_inverse()))
         });
         let backend = solver.backend_name();
         session.accum.lock().expect("timer accumulator poisoned").merge(&solver.timers());
         session.pool.release(solver);
+        let (factor, sigma) = parts?;
         Ok(PosteriorSnapshot::from_parts(
             session.model.clone(),
             self.hyper_mode,
             self.latent,
             self.hyper,
             self.fixed_effects,
-            factor?,
+            factor,
+            sigma,
             backend,
         ))
     }
@@ -266,6 +270,7 @@ impl InlaSession {
             hyper_mode: result.hyper_mode.clone(),
             hyper: result.hyper.clone(),
             solver,
+            sigma: SelectedInverse::Diagonal(Vec::new()),
             latent: result.latent.clone(),
             fixed_effects: result.fixed_effects.clone(),
         };
@@ -401,12 +406,14 @@ impl InlaEngine {
 ///
 /// [`snapshot`](Self::snapshot) freezes the current window into a fresh
 /// [`PosteriorSnapshot`] without a refit, so a serving layer can follow the
-/// advancing window by swapping snapshots.
+/// advancing window by swapping snapshots. The window keeps the selected
+/// inverse of its last re-pin, and every snapshot it produces shares it.
 pub struct StreamingWindow {
     model: Arc<CoregionalModel>,
     hyper_mode: ModelHyper,
     hyper: HyperMarginals,
     solver: Box<dyn LatentSolver>,
+    sigma: SelectedInverse,
     latent: LatentMarginals,
     fixed_effects: Vec<FixedEffectSummary>,
 }
@@ -430,6 +437,12 @@ impl StreamingWindow {
     /// Fixed-effect summaries re-pinned on the current window.
     pub fn fixed_effects(&self) -> &[FixedEffectSummary] {
         &self.fixed_effects
+    }
+
+    /// The selected inverse of the current window, shared with every
+    /// snapshot taken since the last update.
+    pub fn selected_inverse(&self) -> &SelectedInverse {
+        &self.sigma
     }
 
     /// The backend driving the incremental updates.
@@ -532,7 +545,8 @@ impl StreamingWindow {
 
     /// Freeze the current window into an immutable [`PosteriorSnapshot`]
     /// without refitting — the cheap re-snapshot path a serving layer uses to
-    /// follow the advancing window.
+    /// follow the advancing window. The snapshot shares the window's selected
+    /// inverse (an `Arc` clone on the BTA backends, no block copy).
     pub fn snapshot(&self) -> Result<PosteriorSnapshot, CoreError> {
         let factor = self.solver.snapshot_factor()?;
         Ok(PosteriorSnapshot::from_parts(
@@ -542,17 +556,20 @@ impl StreamingWindow {
             self.hyper.clone(),
             self.fixed_effects.clone(),
             factor,
+            self.sigma.clone(),
             self.solver.backend_name(),
         ))
     }
 
-    /// Re-pin the latent mean, marginal variances and fixed-effect summaries
-    /// on the current window's conditional factor (Gaussian likelihood: the
-    /// conditional mode is the single linear solve `Q_c μ = Aᵀ D y`).
+    /// Re-pin the latent mean, selected inverse, marginal variances and
+    /// fixed-effect summaries on the current window's conditional factor
+    /// (Gaussian likelihood: the conditional mode is the single linear solve
+    /// `Q_c μ = Aᵀ D y`).
     fn repin(&mut self) -> Result<(), CoreError> {
         let info = self.model.information_vector(&self.hyper_mode, self.solver.design());
         let mean = self.solver.solve_mean(&info);
-        let vars = self.solver.selected_inverse_diag();
+        self.sigma = self.solver.selected_inverse();
+        let vars = self.sigma.diagonal();
         let mut clamped = 0usize;
         let sd = vars
             .iter()

@@ -42,7 +42,7 @@ pub use posterior::{
     FixedEffectSummary, HyperMarginals, LatentMarginals, Prediction,
 };
 pub use settings::{feature_table, InlaSettings, SolverBackend};
-pub use snapshot::{PosteriorSnapshot, SnapshotFactor, VarianceMode};
+pub use snapshot::{BtaSigma, PosteriorSnapshot, SelectedInverse, SnapshotFactor, VarianceMode};
 pub use solver::{LatentSolver, PhaseTimers, SparseCholeskySolver};
 
 /// Errors produced by the INLA engine.

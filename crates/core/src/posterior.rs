@@ -169,7 +169,7 @@ pub fn latent_marginals(
         let w = solver.model().working_weights(hyper, &eta);
         solver.refactorize_conditional(&w)?;
     }
-    let variances = solver.selected_inverse_diag();
+    let variances = solver.selected_inverse().diagonal();
     let clamped = variances.iter().filter(|v| **v < 0.0).count();
     let sd = variances.iter().map(|v| v.max(0.0).sqrt()).collect();
     Ok(LatentMarginals { mean, sd, clamped })
@@ -410,11 +410,12 @@ mod tests {
     fn diagonal_variance_approximation_vs_dense_truth() {
         // Pin down the semantics of `predict`'s diagonal variance
         // approximation: compare against the brute-force dense truth
-        // Var = diag(A Q_c⁻¹ Aᵀ), and show that the factor-backed exact mode
-        // (a blocked multi-RHS solve, see `SnapshotFactor::solve_many`)
-        // reproduces the truth while the diagonal shortcut carries a real,
-        // documented gap — the gap the serving layer's
-        // `VarianceMode::Exact` closes.
+        // Var = diag(A Q_c⁻¹ Aᵀ), and show that the factor-backed solve
+        // (a blocked multi-RHS solve, see `SnapshotFactor::solve_many` — the
+        // oracle `tests/exact_variance.rs` holds `VarianceMode::Exact`'s
+        // selected-inverse reads to) reproduces the truth while the diagonal
+        // shortcut carries a real, documented gap — the gap the serving
+        // layer's `VarianceMode::Exact` closes.
         let (model, hyper) = toy_model();
         let mut solver = SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&model);
         let marg = latent_marginals(solver.as_mut(), &hyper, vec![0.0; model.dims.latent_dim()])
@@ -437,7 +438,7 @@ mod tests {
         let asat = blas::matmul(&blas::matmul(&a, &sigma), &a.transpose());
         let truth: Vec<f64> = (0..targets.len()).map(|j| asat[(j, j)].sqrt()).collect();
 
-        // Exact mode: Z = Q_c⁻¹ Aᵀ through the frozen factor.
+        // The solve oracle: Z = Q_c⁻¹ Aᵀ through the frozen factor.
         let factor = solver.snapshot_factor().unwrap();
         let n = model.dims.latent_dim();
         let mut rhs = Matrix::from_fn(n, targets.len(), |i, j| a[(j, i)]);

@@ -2,29 +2,39 @@
 //! from a completed fit.
 //!
 //! Everything a predictive query needs — the Cholesky factor of the
-//! conditional precision `Q_c(θ*)`, the conditional mean, the
-//! selected-inverse marginal standard deviations, the hyperparameter
-//! posterior, and the model's prediction-design machinery — is frozen into a
-//! [`PosteriorSnapshot`], which is `Send + Sync` and takes `&self`
-//! everywhere. Wrap one in an `Arc` and any number of threads can answer
-//! predictions, latent-marginal lookups and posterior draws concurrently
-//! without touching the fit-time [`InlaSession`](crate::engine::InlaSession)
-//! again. The `dalia-serve` crate builds its concurrent front-end on exactly
-//! this type.
+//! conditional precision `Q_c(θ*)`, the conditional mean, the kept part of
+//! the selected inverse `Σ = Q_c⁻¹` ([`SelectedInverse`]), the marginal
+//! standard deviations, the hyperparameter posterior, and the model's
+//! prediction-design machinery — is frozen into a [`PosteriorSnapshot`],
+//! which is `Send + Sync` and takes `&self` everywhere. Wrap one in an `Arc`
+//! and any number of threads can answer predictions, latent-marginal lookups
+//! and posterior draws concurrently without touching the fit-time
+//! [`InlaSession`](crate::engine::InlaSession) again. The `dalia-serve` crate
+//! builds its concurrent front-end on exactly this type.
+//!
+//! Exact predictive variances `aᵀ Σ a` read the kept entries of `Σ`
+//! directly: a prediction row touches the three vertices of one mesh
+//! triangle in one time slice of the latent field, plus the fixed effects,
+//! so every entry it needs lies in a diagonal block (at a node pair that
+//! shares a triangle), an arrow block or the tip of the BTA selected inverse,
+//! and a target costs O(nnz(a)²) flops with no solve.
 //!
 //! Snapshots are produced by
 //! [`InlaSession::snapshot`](crate::engine::InlaSession::snapshot) (cloning
-//! the result's summaries) or
+//! the result's summaries),
 //! [`InlaResult::into_snapshot`](crate::engine::InlaResult::into_snapshot)
-//! (consuming them).
+//! (consuming them) or
+//! [`StreamingWindow::snapshot`](crate::engine::StreamingWindow::snapshot)
+//! (sharing the window's kept `Σ`).
 
 use crate::posterior::{FixedEffectSummary, HyperMarginals, LatentMarginals, Prediction};
 use crate::CoreError;
 use dalia_la::Matrix;
 use dalia_model::{CoregionalModel, ModelHyper, PredictionPlan, PredictionTarget};
-use dalia_sparse::SparseCholesky;
+use dalia_mesh::TriangleMesh;
+use dalia_sparse::{CooMatrix, CsrMatrix, SparseCholesky};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serinv::{pobtas, pobtas_lt, BtaCholesky};
+use serinv::{pobtas, pobtas_lt, BtaCholesky, BtaMatrix, BtaSelectedInverse};
 use std::sync::Arc;
 
 /// An owned, backend-independent Cholesky factor of the conditional precision
@@ -102,6 +112,222 @@ impl SnapshotFactor {
     }
 }
 
+/// The part of the selected inverse `Σ = Q_c⁻¹` a solver hands out, extracted
+/// by [`LatentSolver::selected_inverse`](crate::solver::LatentSolver::selected_inverse).
+///
+/// Cloning is cheap for the BTA variant (its entries sit behind an `Arc`), so
+/// a [`StreamingWindow`](crate::engine::StreamingWindow) and every snapshot it
+/// produces share one `Σ`.
+#[derive(Clone, Debug)]
+pub enum SelectedInverse {
+    /// Every entry of the BTA selected inverse an exact predictive variance
+    /// reads (see [`BtaSigma`]). The rest of the `pobtasi` output — the
+    /// sub-diagonal blocks, since no prediction row spans two time slices,
+    /// and the `Σ_tt` entries of nodes that share no triangle — is dropped.
+    Bta(Arc<BtaSigma>),
+    /// `diag(Σ)` only (the sparse baseline, whose exact variances solve
+    /// against the factor instead).
+    Diagonal(Vec<f64>),
+}
+
+impl SelectedInverse {
+    /// `diag(Σ)`: the latent marginal variances, in latent order.
+    pub fn diagonal(&self) -> Vec<f64> {
+        match self {
+            SelectedInverse::Bta(s) => s.diagonal(),
+            SelectedInverse::Diagonal(d) => d.clone(),
+        }
+    }
+}
+
+/// The `ns × ns` pattern of mesh nodes that share a triangle, each node
+/// paired with itself included (values unused). A prediction row's field
+/// entries sit at the three vertices of one triangle, so these are the only
+/// node pairs of a time slice's `Σ_tt` it reads.
+pub(crate) fn triangle_pairs(mesh: &TriangleMesh) -> CsrMatrix {
+    let ns = mesh.n_nodes();
+    let mut coo = CooMatrix::with_capacity(ns, ns, 9 * mesh.n_triangles());
+    for tri in &mesh.triangles {
+        for &i in &tri.v {
+            for &j in &tri.v {
+                coo.push(i, j, 1.0);
+            }
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// The entries of a BTA selected inverse that predictions read: in each
+/// time slice's `Σ_tt`, the node pairs that share a mesh triangle, for
+/// every pair of latent processes; every arrow block `Σ_Tt`; and the tip
+/// `Σ_TT`.
+///
+/// A snapshot outlives many window advances, so it keeps only these: on a
+/// 2-D mesh a node shares a triangle with about six others, so the kept
+/// `Σ_tt` entries are a small fraction of the dense blocks, and they sit in
+/// one allocation rather than in scattered blocks.
+#[derive(Debug)]
+pub struct BtaSigma {
+    /// Time slices `n`, block size `b = nv·ns` (`ns` mesh nodes) and arrow
+    /// size `a`.
+    n: usize,
+    b: usize,
+    a: usize,
+    /// `triangle_pairs` of the mesh (`ns × ns`), shared by every `Σ` of one
+    /// solver.
+    pairs: Arc<CsrMatrix>,
+    /// Per slice, per process pair `l ≥ l'` (in the order
+    /// `l·(l+1)/2 + l'`), per stored pattern entry `(i, j)`:
+    /// `Σ_tt[(l·ns + i, l'·ns + j)]`. Then each `Σ_Tt` (`a × b`,
+    /// column-major), then `Σ_TT` (`a × a`, column-major).
+    data: Vec<f64>,
+}
+
+impl BtaSigma {
+    /// Keep the entries predictions read from a `pobtasi` / `d_pobtasi`
+    /// result over a mesh with node-pair pattern `pairs`; the rest is freed
+    /// with it.
+    pub(crate) fn keep(sel: BtaSelectedInverse, pairs: Arc<CsrMatrix>) -> Self {
+        let BtaMatrix { n, b, a, diag, arrow, tip, .. } = sel.blocks;
+        let ns = pairs.nrows();
+        let nv = b / ns;
+        let (ptr, idx) = (pairs.row_ptr(), pairs.col_idx());
+        let mut data = Vec::with_capacity(n * nv * (nv + 1) / 2 * idx.len() + n * a * b + a * a);
+        for d in &diag {
+            for l in 0..nv {
+                for lp in 0..=l {
+                    for i in 0..ns {
+                        for &j in &idx[ptr[i]..ptr[i + 1]] {
+                            let (r, c) = (l * ns + i, lp * ns + j);
+                            data.push(d[(r.max(c), r.min(c))]);
+                        }
+                    }
+                }
+            }
+        }
+        for c in arrow.iter().chain([&tip]) {
+            data.extend_from_slice(c.as_slice());
+        }
+        Self { n, b, a, pairs, data }
+    }
+
+    /// Offset of slice `t`'s `Σ_tt` entries in `data`.
+    fn slice_start(&self, t: usize) -> usize {
+        let nv = self.b / self.pairs.nrows();
+        t * nv * (nv + 1) / 2 * self.pairs.nnz()
+    }
+
+    /// Offset of `Σ_tt[(l·ns + i, l'·ns + j)]`, for `l ≥ l'`, relative to the
+    /// slice start, where `k` is the position of `(i, j)` in `pairs`.
+    fn entry(&self, l: usize, lp: usize, k: usize) -> usize {
+        (l * (l + 1) / 2 + lp) * self.pairs.nnz() + k
+    }
+
+    /// Position of `(i, j)` in `pairs`.
+    fn pair_position(&self, i: usize, j: usize) -> usize {
+        let (ptr, idx) = (self.pairs.row_ptr(), self.pairs.col_idx());
+        ptr[i]
+            + idx[ptr[i]..ptr[i + 1]]
+                .binary_search(&j)
+                .expect("prediction row reads Σ_tt at two nodes that share no triangle")
+    }
+
+    /// Column `s` of `Σ_Tt`.
+    fn arrow_col(&self, t: usize, s: usize) -> &[f64] {
+        let start = self.data.len() - self.a * self.a - (self.n * self.b - t * self.b - s) * self.a;
+        &self.data[start..start + self.a]
+    }
+
+    /// Column `g` of `Σ_TT`.
+    fn tip_col(&self, g: usize) -> &[f64] {
+        let start = self.data.len() - self.a * (self.a - g);
+        &self.data[start..start + self.a]
+    }
+
+    /// `diag(Σ)` — the same entries, in the same order, as
+    /// [`BtaSelectedInverse::diagonal`].
+    fn diagonal(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.n * self.b + self.a);
+        for t in 0..self.n {
+            let slice = self.slice_start(t);
+            for x in 0..self.b {
+                let (l, i) = (x / self.pairs.nrows(), x % self.pairs.nrows());
+                out.push(self.data[slice + self.entry(l, l, self.pair_position(i, i))]);
+            }
+        }
+        out.extend((0..self.a).map(|g| self.tip_col(g)[g]));
+        out
+    }
+
+    /// `aᵀ Σ a` for one prediction-design row `a`, given by its sorted column
+    /// indices and values. The row's latent-field entries must all lie in one
+    /// time slice `t`, at the vertices of one triangle (as every row
+    /// `build_design` stamps out does), so
+    /// `aᵀ Σ a = a_tᵀ Σ_tt a_t + 2·a_fᵀ Σ_ft a_t + a_fᵀ Σ_ff a_f` with `a_f`
+    /// the fixed-effect entries. Allocation-free; the sums run in a fixed
+    /// order.
+    fn quadratic_form(&self, cols: &[usize], vals: &[f64]) -> f64 {
+        let (b, ns) = (self.b, self.pairs.nrows());
+        let a0 = self.n * b;
+        let split = cols.partition_point(|&c| c < a0);
+        let (field, fixed) = cols.split_at(split);
+        let (w_field, w_fixed) = vals.split_at(split);
+        let (mut tt, mut ft, mut ff) = (0.0, 0.0, 0.0);
+        if let Some(&c0) = field.first() {
+            let t = c0 / b;
+            let off = t * b;
+            debug_assert!(field.iter().all(|&c| c / b == t), "design row spans two time slices");
+            // The row's mesh nodes (one triangle's vertices) and the
+            // position of each pair of them in `pairs`.
+            let mut nodes = [0; 3];
+            let mut nn = 0;
+            for &c in field {
+                let i = (c - off) % ns;
+                if !nodes[..nn].contains(&i) {
+                    nodes[nn] = i;
+                    nn += 1;
+                }
+            }
+            let mut pos = [[0; 3]; 3];
+            for p in 0..nn {
+                for q in 0..nn {
+                    pos[p][q] = self.pair_position(nodes[p], nodes[q]);
+                }
+            }
+            // Process and node slot of a block-local index.
+            let nodes = &nodes[..nn];
+            let slot = |x: usize| {
+                (x / ns, nodes.iter().position(|&i| i == x % ns).expect("node collected above"))
+            };
+            // Σ_tt is symmetric: each entry pairs with itself and, twice,
+            // with the entries before it, whose processes are no later
+            // (the columns are sorted).
+            let s_tt = &self.data[self.slice_start(t)..];
+            for (e, (&ci, &wi)) in field.iter().zip(w_field).enumerate() {
+                let (l, p) = slot(ci - off);
+                let s: f64 = field[..e]
+                    .iter()
+                    .zip(w_field)
+                    .map(|(&cj, &wj)| {
+                        let (lp, q) = slot(cj - off);
+                        s_tt[self.entry(l, lp, pos[p][q])] * wj
+                    })
+                    .sum();
+                tt += wi * (wi * s_tt[self.entry(l, l, pos[p][p])] + 2.0 * s);
+                let s_ft = self.arrow_col(t, ci - off);
+                let s: f64 = fixed.iter().zip(w_fixed).map(|(&cf, &wf)| s_ft[cf - a0] * wf).sum();
+                ft += wi * s;
+            }
+        }
+        for (&cg, &wg) in fixed.iter().zip(w_fixed) {
+            let s_ff = self.tip_col(cg - a0);
+            let s: f64 = fixed.iter().zip(w_fixed).map(|(&cf, &wf)| s_ff[cf - a0] * wf).sum();
+            ff += wg * s;
+        }
+        tt + 2.0 * ft + ff
+    }
+}
+
 /// How a predictive query computes its standard deviations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VarianceMode {
@@ -110,9 +336,10 @@ pub enum VarianceMode {
     /// dropped (historically the only mode, see
     /// [`predict`](crate::posterior::predict)).
     Diagonal,
-    /// `Var(aᵀx) = aᵀ Q_c⁻¹ a` via a blocked multi-RHS solve `Q_c Z = Aᵀ`:
-    /// exact (up to factorization accuracy), one triangular-solve column per
-    /// target.
+    /// `Var(aᵀx) = aᵀ Q_c⁻¹ a`, exact up to factorization accuracy. BTA
+    /// snapshots read it from the kept selected inverse
+    /// ([`SelectedInverse::Bta`]) in O(nnz(a)²) flops per target; the sparse
+    /// baseline solves `Q_c Z = Aᵀ` against its factor.
     Exact,
 }
 
@@ -124,6 +351,7 @@ pub struct PosteriorSnapshot {
     model: Arc<CoregionalModel>,
     hyper_mode: ModelHyper,
     factor: SnapshotFactor,
+    sigma: SelectedInverse,
     latent: LatentMarginals,
     hyper: HyperMarginals,
     fixed_effects: Vec<FixedEffectSummary>,
@@ -131,6 +359,7 @@ pub struct PosteriorSnapshot {
 }
 
 impl PosteriorSnapshot {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         model: Arc<CoregionalModel>,
         hyper_mode: ModelHyper,
@@ -138,10 +367,11 @@ impl PosteriorSnapshot {
         hyper: HyperMarginals,
         fixed_effects: Vec<FixedEffectSummary>,
         factor: SnapshotFactor,
+        sigma: SelectedInverse,
         backend_name: &'static str,
     ) -> Self {
         debug_assert_eq!(factor.dim(), latent.mean.len());
-        Self { model, hyper_mode, factor, latent, hyper, fixed_effects, backend_name }
+        Self { model, hyper_mode, factor, sigma, latent, hyper, fixed_effects, backend_name }
     }
 
     /// The model the snapshot was fitted on.
@@ -172,6 +402,11 @@ impl PosteriorSnapshot {
     /// The frozen conditional factor.
     pub fn factor(&self) -> &SnapshotFactor {
         &self.factor
+    }
+
+    /// The kept selected inverse `Σ = Q_c⁻¹` that exact variances read.
+    pub fn selected_inverse(&self) -> &SelectedInverse {
+        &self.sigma
     }
 
     /// Name of the solver backend the snapshot was extracted from.
@@ -212,22 +447,25 @@ impl PosteriorSnapshot {
         Ok(self.predict_planned(&self.plan(targets)?, VarianceMode::Diagonal))
     }
 
-    /// Predict at `targets` with exact variances `aᵀ Q_c⁻¹ a` (one blocked
-    /// multi-RHS solve over all targets).
+    /// Predict at `targets` with exact variances `aᵀ Q_c⁻¹ a` (see
+    /// [`VarianceMode::Exact`]).
     pub fn predict_exact(&self, targets: &[PredictionTarget]) -> Result<Prediction, CoreError> {
         Ok(self.predict_planned(&self.plan(targets)?, VarianceMode::Exact))
     }
 
     /// Predict for an already-resolved [`PredictionPlan`] in the requested
     /// variance mode. This is the hot serving entry point: the mesh walk was
-    /// paid at plan time, and the whole plan becomes one design application
-    /// (plus, in [`VarianceMode::Exact`], one blocked multi-RHS solve).
+    /// paid at plan time, and the whole plan becomes one design application.
+    /// In [`VarianceMode::Exact`] a BTA snapshot then evaluates each row's
+    /// quadratic form against the kept `Σ` entries, allocating nothing beyond
+    /// the design and the outputs; the sparse baseline runs one blocked
+    /// multi-RHS solve over all targets.
     pub fn predict_planned(&self, plan: &PredictionPlan, mode: VarianceMode) -> Prediction {
         let design = plan.design(&self.hyper_mode);
         let mean = design.spmv(&self.latent.mean);
         let k = design.nrows();
-        let sd = match mode {
-            VarianceMode::Diagonal => (0..k)
+        let sd = match (mode, &self.sigma) {
+            (VarianceMode::Diagonal, _) => (0..k)
                 .map(|r| {
                     let v: f64 = design
                         .row_iter(r)
@@ -236,7 +474,16 @@ impl PosteriorSnapshot {
                     v.sqrt()
                 })
                 .collect(),
-            VarianceMode::Exact => {
+            (VarianceMode::Exact, SelectedInverse::Bta(sigma)) => {
+                let (ptr, cols, vals) = (design.row_ptr(), design.col_idx(), design.values());
+                (0..k)
+                    .map(|r| {
+                        let span = ptr[r]..ptr[r + 1];
+                        sigma.quadratic_form(&cols[span.clone()], &vals[span]).max(0.0).sqrt()
+                    })
+                    .collect()
+            }
+            (VarianceMode::Exact, SelectedInverse::Diagonal(_)) => {
                 // Z = Q_c⁻¹ Aᵀ in one blocked solve, then Var_j = a_jᵀ z_j.
                 let n = self.latent_dim();
                 let mut rhs = Matrix::zeros(n, k);

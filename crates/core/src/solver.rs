@@ -29,8 +29,9 @@
 //! [`LatentSolver::logdet_qc`] are `log |Q_p(θ)|` and `log |Q_c(θ)|`,
 //! [`LatentSolver::solve_mean`] produces the conditional mean
 //! `μ_c = Q_c⁻¹ Aᵀ D y` (Eq. 7), [`LatentSolver::quadratic_form_qp`] the
-//! prior term `μᵀ Q_p μ`, and [`LatentSolver::selected_inverse_diag`] the
-//! latent marginal variances `diag(Q_c⁻¹)` used by the posterior extraction.
+//! prior term `μᵀ Q_p μ`, and [`LatentSolver::selected_inverse`] the
+//! selected inverse `Q_c⁻¹` whose diagonal holds the latent marginal
+//! variances and whose kept entries answer exact predictive variances.
 //!
 //! The BTA workspaces also own a [`PackBuffer`] — the panel-packing scratch
 //! of the blocked dense kernels in `dalia_la::blas` — which is threaded
@@ -39,7 +40,7 @@
 //! `docs/performance.md`).
 
 use crate::settings::SolverBackend;
-use crate::snapshot::SnapshotFactor;
+use crate::snapshot::{triangle_pairs, BtaSigma, SelectedInverse, SnapshotFactor};
 use crate::CoreError;
 use dalia_la::{Matrix, PackBuffer};
 use dalia_model::{CoregionalModel, ModelHyper};
@@ -118,7 +119,7 @@ impl PhaseTimers {
 /// panic if none has happened yet.
 ///
 /// The trait is `Send + Sync`: the mutable entry points (`factorize`,
-/// `solve_mean`, `selected_inverse_diag`) serialize through `&mut`, and a
+/// `solve_mean`, `selected_inverse`) serialize through `&mut`, and a
 /// solver can move to, or be read from, any thread. Concurrent serving does
 /// not solve against the solver itself: it takes an owned copy of the factor
 /// ([`snapshot_factor`](Self::snapshot_factor)) and solves against that
@@ -218,8 +219,11 @@ pub trait LatentSolver: Send + Sync {
     /// Quadratic form `xᵀ Q_p x` for the currently assembled `Q_p`.
     fn quadratic_form_qp(&self, x: &[f64]) -> f64;
 
-    /// Diagonal of `Q_c⁻¹` via selected inversion (latent marginal variances).
-    fn selected_inverse_diag(&mut self) -> Vec<f64>;
+    /// Selected inversion of `Q_c`: the part of `Σ = Q_c⁻¹` this backend
+    /// keeps. Its [`diagonal`](SelectedInverse::diagonal) holds the latent
+    /// marginal variances; the BTA backend also keeps every other entry that
+    /// exact predictive variances read (see [`BtaSigma`]).
+    fn selected_inverse(&mut self) -> SelectedInverse;
 
     /// Phase timings accumulated since the last [`reset_timers`](Self::reset_timers).
     fn timers(&self) -> PhaseTimers;
@@ -461,6 +465,10 @@ struct BtaSolver {
     /// `None` after a conditional-only factorization or a window update.
     logdet_qp: Option<f64>,
     fc: Option<DistBtaCholesky>,
+    /// Which mesh nodes share a triangle: the `Σ_tt` entries a
+    /// [`selected_inverse`](LatentSolver::selected_inverse) keeps. Window
+    /// updates keep the mesh, so it is built once.
+    pairs: Arc<CsrMatrix>,
 }
 
 impl BtaSolver {
@@ -468,6 +476,7 @@ impl BtaSolver {
     /// load-balancing factor. `partitions` must lie in `[1, nt]`.
     fn new(model: Arc<CoregionalModel>, partitions: usize, load_balance: f64) -> Self {
         let part = Partitioning::load_balanced(model.dims.nt, partitions, load_balance);
+        let pairs = Arc::new(triangle_pairs(&model.mesh));
         Self {
             ws: BtaWorkspace::new(model),
             part,
@@ -476,6 +485,7 @@ impl BtaSolver {
             stream: StreamPacks::new(),
             logdet_qp: None,
             fc: None,
+            pairs,
         }
     }
 
@@ -644,16 +654,16 @@ impl LatentSolver for BtaSolver {
         quadratic_form_bta(&self.ws.qp, x)
     }
 
-    fn selected_inverse_diag(&mut self) -> Vec<f64> {
+    fn selected_inverse(&mut self) -> SelectedInverse {
         let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
         let t0 = Instant::now();
-        let diag = match fc {
+        let sel = match fc {
             DistBtaCholesky::Sequential(f) => pobtasi_with(f, &mut self.ws.pack),
             DistBtaCholesky::Partitioned { .. } => d_pobtasi(fc),
-        }
-        .diagonal();
+        };
+        let sigma = Arc::new(BtaSigma::keep(sel, self.pairs.clone()));
         self.ws.timers.selinv_seconds += t0.elapsed().as_secs_f64();
-        diag
+        SelectedInverse::Bta(sigma)
     }
 
     fn timers(&self) -> PhaseTimers {
@@ -847,12 +857,12 @@ impl LatentSolver for SparseCholeskySolver {
             .quadratic_form(x)
     }
 
-    fn selected_inverse_diag(&mut self) -> Vec<f64> {
+    fn selected_inverse(&mut self) -> SelectedInverse {
         let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
         let t0 = Instant::now();
         let diag = fc.marginal_variances();
         self.timers.selinv_seconds += t0.elapsed().as_secs_f64();
-        diag
+        SelectedInverse::Diagonal(diag)
     }
 
     fn timers(&self) -> PhaseTimers {
@@ -932,7 +942,7 @@ mod tests {
             solver.factorize(&hyper).unwrap();
             let info = model.information_vector(&hyper, solver.design());
             let mean = solver.solve_mean(&info);
-            let vars = solver.selected_inverse_diag();
+            let vars = solver.selected_inverse().diagonal();
             let (ldp, ldc) = (solver.logdet_qp(), solver.logdet_qc());
             match &reference {
                 None => reference = Some((ldp, ldc, mean, vars)),
@@ -994,8 +1004,8 @@ mod tests {
             for (a, b) in m_full.iter().zip(&m_cond) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{tag}: mean");
             }
-            let v_full = full.selected_inverse_diag();
-            let v_cond = cond.selected_inverse_diag();
+            let v_full = full.selected_inverse().diagonal();
+            let v_cond = cond.selected_inverse().diagonal();
             for (a, b) in v_full.iter().zip(&v_cond) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{tag}: variances");
             }
@@ -1015,7 +1025,7 @@ mod tests {
         solver.factorize(&hyper).unwrap();
         let info = model.information_vector(&hyper, solver.design());
         let _ = solver.solve_mean(&info);
-        let _ = solver.selected_inverse_diag();
+        let _ = solver.selected_inverse();
         let t = solver.timers();
         assert!(t.assembly_seconds > 0.0);
         assert!(t.factorize_seconds > 0.0);
@@ -1067,7 +1077,7 @@ mod tests {
     ) -> (f64, Vec<f64>, Vec<f64>) {
         let info = model.information_vector(hyper, solver.design());
         let mean = solver.solve_mean(&info);
-        let vars = solver.selected_inverse_diag();
+        let vars = solver.selected_inverse().diagonal();
         (solver.logdet_qc(), mean, vars)
     }
 

@@ -18,8 +18,8 @@
 //! ## Determinism contract
 //!
 //! Each request is answered by a pure function of `(snapshot, request)` —
-//! requests are *never* merged into a shared multi-RHS solve across request
-//! boundaries (each request's own targets already form one blocked solve).
+//! requests are *never* merged across request boundaries (exact variances
+//! read the snapshot's kept selected inverse row by row, in a fixed order).
 //! Results are therefore bitwise identical regardless of concurrency or
 //! arrival order; a stress test pins this. See the "Serving" section of
 //! `docs/architecture.md` for the rationale.
@@ -222,7 +222,8 @@ impl InlaService {
     /// Predict at `targets` in the requested [`VarianceMode`]. Target
     /// validation and the mesh walk happen on the calling thread; the whole
     /// target set is then answered by one design application (plus, for
-    /// [`VarianceMode::Exact`], one blocked multi-RHS solve) on the pool.
+    /// [`VarianceMode::Exact`], one quadratic form per target against the
+    /// kept selected inverse) on the pool.
     pub fn predict(
         &self,
         targets: &[PredictionTarget],

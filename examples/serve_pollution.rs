@@ -65,8 +65,8 @@ fn main() {
                         covariates: vec![1.0, dalia::data::elevation_km(domain, p)],
                     })
                     .collect();
-                // Exact-variance downscaling: one blocked multi-RHS solve
-                // against the frozen factor of Q_c.
+                // Exact-variance downscaling: each target's aᵀQ_c⁻¹a is read
+                // from the snapshot's kept selected inverse.
                 let served =
                     service.predict(&targets, VarianceMode::Exact).expect("predict");
                 let avg = served.value.mean.iter().sum::<f64>() / served.value.mean.len() as f64;

@@ -31,7 +31,7 @@ fn run_backend(
     solver.factorize(hyper).expect("factorization must succeed");
     let info = model.information_vector(hyper, solver.design());
     let mean = solver.solve_mean(&info);
-    let variances = solver.selected_inverse_diag();
+    let variances = solver.selected_inverse().diagonal();
     BackendResult {
         name,
         logdet_qp: solver.logdet_qp(),

@@ -11,7 +11,9 @@
 //!    client-observed latency for client counts {1, 2, 4, 8}, each client
 //!    issuing exact-variance predictions (one quadratic form per target
 //!    against the snapshot's kept selected inverse) back-to-back against a
-//!    4-worker `InlaService`.
+//!    4-worker `InlaService` for a fixed wall-clock budget. Requests take
+//!    tens of microseconds, so a fixed request count would end a scenario
+//!    within milliseconds and let thread start-up decide its qps.
 //! 3. **The acceptance gate**: concurrent serving (8 clients, 4 workers) must
 //!    reach **≥ 2× the throughput of one-query-at-a-time serving** (1
 //!    client). Skipped on hosts with fewer than 4 cores or when
@@ -27,7 +29,7 @@ use dalia_core::{predict as session_predict, InlaEngine, InlaSettings, VarianceM
 use dalia_mesh::{Domain, Point, TriangleMesh};
 use dalia_model::{CoregionalModel, ModelHyper, Observation, PredictionTarget};
 use dalia_serve::{InlaService, ServeConfig};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Mesh resolution (structured unit-square grid) and time slices; latent
 /// dimension is `(cells+1)² · nt + 1`.
@@ -36,8 +38,9 @@ const NT: usize = 8;
 /// Targets per request: one request = one design application + one quadratic
 /// form per target against the kept selected inverse.
 const TARGETS_PER_REQUEST: usize = 32;
-/// Requests each client issues back-to-back in a scenario.
-const REQUESTS_PER_CLIENT: usize = 30;
+/// Wall-clock budget of one scenario: every client issues requests
+/// back-to-back until it has passed.
+const SCENARIO_SECONDS: f64 = 1.0;
 /// Worker threads of the service's execution pool in every scenario (the
 /// gate is defined at 4 threads).
 const WORKERS: usize = 4;
@@ -91,31 +94,32 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 
 struct Scenario {
     clients: usize,
+    requests: usize,
     qps: f64,
     p50_us: f64,
     p95_us: f64,
     p99_us: f64,
 }
 
-/// Run one serving scenario: `clients` threads each issuing
-/// `REQUESTS_PER_CLIENT` exact-variance predictions back-to-back.
+/// Run one serving scenario: `clients` threads each issuing exact-variance
+/// predictions back-to-back until `SCENARIO_SECONDS` have passed.
 fn run_scenario(service: &InlaService, clients: usize) -> Scenario {
     let t0 = Instant::now();
+    let deadline = t0 + Duration::from_secs_f64(SCENARIO_SECONDS);
     let mut latencies_us: Vec<f64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|client| {
                 s.spawn(move || {
-                    (0..REQUESTS_PER_CLIENT)
-                        .map(|r| {
-                            let targets = targets_for(client, r);
-                            let q0 = Instant::now();
-                            let served = service
-                                .predict(&targets, VarianceMode::Exact)
-                                .expect("bench predict");
-                            std::hint::black_box(served.value.mean[0]);
-                            q0.elapsed().as_secs_f64() * 1e6
-                        })
-                        .collect::<Vec<f64>>()
+                    let mut latencies = Vec::new();
+                    while Instant::now() < deadline {
+                        let targets = targets_for(client, latencies.len());
+                        let q0 = Instant::now();
+                        let served =
+                            service.predict(&targets, VarianceMode::Exact).expect("bench predict");
+                        std::hint::black_box(served.value.mean[0]);
+                        latencies.push(q0.elapsed().as_secs_f64() * 1e6);
+                    }
+                    latencies
                 })
             })
             .collect();
@@ -125,6 +129,7 @@ fn run_scenario(service: &InlaService, clients: usize) -> Scenario {
     latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     Scenario {
         clients,
+        requests: latencies_us.len(),
         qps: latencies_us.len() as f64 / wall,
         p50_us: percentile(&latencies_us, 50.0),
         p95_us: percentile(&latencies_us, 95.0),
@@ -180,14 +185,14 @@ fn main() {
     .expect("serve config");
     let mut scenarios = Vec::new();
     println!(
-        "\n{:<8} {:>10} {:>10} {:>10} {:>10}",
-        "clients", "qps", "p50_us", "p95_us", "p99_us"
+        "\n{:<8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "clients", "requests", "qps", "p50_us", "p95_us", "p99_us"
     );
     for clients in CLIENT_COUNTS {
         let s = run_scenario(&service, clients);
         println!(
-            "{:<8} {:>10.0} {:>10.1} {:>10.1} {:>10.1}",
-            s.clients, s.qps, s.p50_us, s.p95_us, s.p99_us
+            "{:<8} {:>10} {:>10.0} {:>10.1} {:>10.1} {:>10.1}",
+            s.clients, s.requests, s.qps, s.p50_us, s.p95_us, s.p99_us
         );
         scenarios.push(s);
     }
@@ -214,7 +219,7 @@ fn main() {
     json.push_str(&format!(
         "  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"latent_dim\": {latent_dim},\n  \
          \"targets_per_request\": {TARGETS_PER_REQUEST},\n  \
-         \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"workers\": {WORKERS},\n  \
+         \"scenario_seconds\": {SCENARIO_SECONDS:.1},\n  \"workers\": {WORKERS},\n  \
          \"note\": \"exact-variance predictions against one frozen PosteriorSnapshot; the \
          >=2x acceptance gate compares the 8-client record against the 1-client record \
          on a >=4-core host and is recorded as skipped elsewhere (CI regenerates and \
@@ -228,9 +233,10 @@ fn main() {
     ));
     for (i, s) in scenarios.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"clients\": {}, \"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \
-             \"p99_us\": {:.1}}}{}\n",
+            "    {{\"clients\": {}, \"requests\": {}, \"qps\": {:.1}, \"p50_us\": {:.1}, \
+             \"p95_us\": {:.1}, \"p99_us\": {:.1}}}{}\n",
             s.clients,
+            s.requests,
             s.qps,
             s.p50_us,
             s.p95_us,

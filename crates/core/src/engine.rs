@@ -37,7 +37,8 @@
 use crate::objective::{evaluate_fobj_with_inner, FobjResult, InnerSettings};
 use crate::optimizer::{evaluate_gradient, maximize_fobj, negative_hessian, IterationRecord};
 use crate::posterior::{
-    fixed_effect_summaries, latent_marginals, FixedEffectSummary, HyperMarginals, LatentMarginals,
+    factorize_at_mode, fixed_effect_summaries, latent_marginals, FixedEffectSummary,
+    HyperMarginals, LatentMarginals,
 };
 use crate::settings::InlaSettings;
 use crate::snapshot::{PosteriorSnapshot, SelectedInverse};
@@ -90,16 +91,8 @@ impl InlaResult {
     pub fn into_snapshot(self, session: &InlaSession) -> Result<PosteriorSnapshot, CoreError> {
         let mut solver = session.pool.acquire();
         solver.reset_timers();
-        let parts = solver.factorize_conditional(&self.hyper_mode).and_then(|()| {
-            // Non-Gaussian families: the Gaussian approximation lives at the
-            // conditional mode's working weights, not the η = 0 seed weights.
-            if !session.model.likelihood().is_quadratic() {
-                let eta = solver.design().spmv(&self.latent.mean);
-                let w = solver.model().working_weights(&self.hyper_mode, &eta);
-                solver.refactorize_conditional(&w)?;
-            }
-            Ok((solver.snapshot_factor()?, solver.selected_inverse()))
-        });
+        let parts = factorize_at_mode(solver.as_mut(), &self.hyper_mode, &self.latent.mean)
+            .and_then(|()| Ok((solver.snapshot_factor()?, solver.selected_inverse())));
         let backend = solver.backend_name();
         session.accum.lock().expect("timer accumulator poisoned").merge(&solver.timers());
         session.pool.release(solver);
@@ -397,12 +390,12 @@ impl InlaEngine {
 /// the temporal window by `k` new time slices (with their observations) and
 /// [`retire_slices`](Self::retire_slices) drops the `k` oldest; both advance
 /// the conditional BTA factor through the incremental streaming kernels
-/// (`pobtaf_extend` / `pobtaf_retire`) instead of refitting, then re-pin the
-/// latent mean, marginal standard deviations and fixed-effect summaries on
-/// the new window. The hyperparameter posterior stays pinned at the original
-/// fit — streaming updates the latent field conditional on θ̂, which is the
-/// serving-time trade-off: re-estimate θ with a full refit when the window
-/// has drifted far enough.
+/// (`pobtaf_extend_scheduled` / `pobtaf_retire_scheduled`) instead of
+/// refitting, then re-pin the latent mean, marginal standard deviations and
+/// fixed-effect summaries on the new window. The hyperparameter posterior
+/// stays pinned at the original fit — streaming updates the latent field
+/// conditional on θ̂, which is the serving-time trade-off: re-estimate θ with
+/// a full refit when the window has drifted far enough.
 ///
 /// [`snapshot`](Self::snapshot) freezes the current window into a fresh
 /// [`PosteriorSnapshot`] without a refit, so a serving layer can follow the
@@ -569,18 +562,7 @@ impl StreamingWindow {
         let info = self.model.information_vector(&self.hyper_mode, self.solver.design());
         let mean = self.solver.solve_mean(&info);
         self.sigma = self.solver.selected_inverse();
-        let vars = self.sigma.diagonal();
-        let mut clamped = 0usize;
-        let sd = vars
-            .iter()
-            .map(|&v| {
-                if v < 0.0 {
-                    clamped += 1;
-                }
-                v.max(0.0).sqrt()
-            })
-            .collect();
-        self.latent = LatentMarginals { mean, sd, clamped };
+        self.latent = LatentMarginals::from_variances(mean, &self.sigma.diagonal());
         self.fixed_effects = fixed_effect_summaries(&self.model, &self.latent);
         Ok(())
     }

@@ -150,6 +150,35 @@ pub struct LatentMarginals {
     pub clamped: usize,
 }
 
+impl LatentMarginals {
+    /// Pair `mean` with the standard deviations of `variances`, clamping
+    /// (and counting) negative variances to zero.
+    pub(crate) fn from_variances(mean: Vec<f64>, variances: &[f64]) -> Self {
+        let clamped = variances.iter().filter(|v| **v < 0.0).count();
+        let sd = variances.iter().map(|v| v.max(0.0).sqrt()).collect();
+        LatentMarginals { mean, sd, clamped }
+    }
+}
+
+/// Factorize `Q_c` at the hyperparameter mode `hyper` and the conditional
+/// mode `mean`, so the solver's factor and selected inverse describe the
+/// Gaussian approximation there. Only `Q_c` is factorized, not `Q_p`.
+pub(crate) fn factorize_at_mode(
+    solver: &mut dyn LatentSolver,
+    hyper: &ModelHyper,
+    mean: &[f64],
+) -> Result<(), CoreError> {
+    solver.factorize_conditional(hyper)?;
+    // Non-Gaussian families: re-weight Q_c at the mode's working weights, not
+    // the η = 0 seed weights.
+    if !solver.model().likelihood().is_quadratic() {
+        let eta = solver.design().spmv(mean);
+        let w = solver.model().working_weights(hyper, &eta);
+        solver.refactorize_conditional(&w)?;
+    }
+    Ok(())
+}
+
 /// Compute the latent marginals at the hyperparameter mode: the conditional
 /// mean is provided by the final objective evaluation, the variances come from
 /// the selected inversion of `Q_c` through the solver backend (which reuses
@@ -159,20 +188,8 @@ pub fn latent_marginals(
     hyper: &ModelHyper,
     mean: Vec<f64>,
 ) -> Result<LatentMarginals, CoreError> {
-    // Only Q_c is needed here; skip the Q_p factorization.
-    solver.factorize_conditional(hyper)?;
-    // Non-Gaussian families: re-weight Q_c at the mode's working weights so
-    // the selected inverse describes the Gaussian approximation at the mode
-    // (`mean`), not at the η = 0 seed weights.
-    if !solver.model().likelihood().is_quadratic() {
-        let eta = solver.design().spmv(&mean);
-        let w = solver.model().working_weights(hyper, &eta);
-        solver.refactorize_conditional(&w)?;
-    }
-    let variances = solver.selected_inverse().diagonal();
-    let clamped = variances.iter().filter(|v| **v < 0.0).count();
-    let sd = variances.iter().map(|v| v.max(0.0).sqrt()).collect();
-    Ok(LatentMarginals { mean, sd, clamped })
+    factorize_at_mode(solver, hyper, &mean)?;
+    Ok(LatentMarginals::from_variances(mean, &solver.selected_inverse().diagonal()))
 }
 
 /// Posterior summary of one fixed effect.
@@ -234,9 +251,14 @@ pub fn response_correlations(hyper: &ModelHyper) -> Matrix {
 pub struct Prediction {
     /// Predictive means, one per target.
     pub mean: Vec<f64>,
-    /// Approximate predictive standard deviations (latent contribution only,
-    /// computed from the selected-inverse variances; cross-covariances outside
-    /// the BTA pattern are not included).
+    /// Predictive standard deviations of the latent contribution, one per
+    /// target. How they are formed depends on the
+    /// [`VarianceMode`](crate::snapshot::VarianceMode):
+    /// [`predict`] and `VarianceMode::Diagonal` sum `a_j² Var(x_j)` over the
+    /// selected-inverse diagonal, dropping every cross-covariance, so they are
+    /// approximate; `VarianceMode::Exact` gives `sqrt(aᵀ Q_c⁻¹ a)` with every
+    /// cross-covariance between the target's latent entries included, exact
+    /// up to factorization accuracy (negative round-off clamps to zero).
     pub sd: Vec<f64>,
 }
 

@@ -22,11 +22,13 @@ pub mod perfmodel;
 /// vendored `rayon` shim's `par_iter` splits adaptively onto this pool, so
 /// the S1 gradient lanes (`dalia-core`) and the S3 partition eliminations
 /// (`serinv::distributed`) are balanced by stealing instead of fixed
-/// chunking. See the crate docs of [`dalia_pool`] for the scheduling
-/// discipline (per-worker deques, LIFO pop / FIFO steal, injector channel,
-/// event-parked idle workers with targeted wakes) and the determinism
-/// guarantees; `crates/hpc/tests/pool_stress.rs` pins the concurrency
-/// behavior.
+/// chunking, and `dalia-serve` runs each request as one `install`. The pool
+/// is fork-join only: `join` and `install` are its whole task model, and
+/// every job is waited for by the thread that published it. See the crate
+/// docs of [`dalia_pool`] for the scheduling discipline (per-worker deques,
+/// LIFO pop / FIFO steal, injector channel, event-parked idle workers with
+/// targeted wakes) and the determinism guarantees;
+/// `crates/hpc/tests/pool_stress.rs` pins the concurrency behavior.
 pub mod pool {
     pub use dalia_pool::*;
 }

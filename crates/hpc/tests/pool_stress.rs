@@ -4,7 +4,8 @@
 //! concurrency behavior is pinned by tests, not luck:
 //!
 //! * **exactly-once execution** under N external producers × M stealing
-//!   workers with seeded, highly non-uniform task costs,
+//!   workers with seeded, highly non-uniform task costs, each producer
+//!   installing its own recursive `join` tree,
 //! * **no deadlock** under deeply nested `join` (fork-join trees several
 //!   levels deeper than the worker count),
 //! * **panic propagation**: a panicking task unwinds at its fork point
@@ -73,6 +74,17 @@ fn busy(units: u64) -> u64 {
     std::hint::black_box(acc)
 }
 
+/// Run `task(i)` for every `i` in `range` as the leaves of a recursive
+/// `join` tree on the current pool — the shape of the S1/S3 fan-outs.
+fn join_tree<F: Fn(usize) + Sync>(range: std::ops::Range<usize>, task: &F) {
+    if range.len() <= 1 {
+        range.for_each(task);
+        return;
+    }
+    let mid = range.start + range.len() / 2;
+    pool::join(|| join_tree(range.start..mid, task), || join_tree(mid..range.end, task));
+}
+
 #[test]
 fn producers_and_stealers_run_every_task_exactly_once() {
     with_watchdog(120, || {
@@ -91,15 +103,11 @@ fn producers_and_stealers_run_every_task_exactly_once() {
                     let costs = seeded_costs(TASKS_PER_PRODUCER, 0xC0FFEE + p as u64);
                     // Each external producer drives its own fork-join region
                     // on the shared pool; workers steal across regions.
-                    pool.scope(|scope| {
-                        for (t, &cost) in costs.iter().enumerate() {
-                            let counters = Arc::clone(&counters);
-                            scope.spawn(move || {
-                                busy(cost);
-                                counters[p * TASKS_PER_PRODUCER + t]
-                                    .fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
+                    pool.install(|| {
+                        join_tree(0..TASKS_PER_PRODUCER, &|t| {
+                            busy(costs[t]);
+                            counters[p * TASKS_PER_PRODUCER + t].fetch_add(1, Ordering::Relaxed);
+                        })
                     });
                 });
             }
@@ -133,34 +141,6 @@ fn nested_joins_do_not_deadlock() {
 }
 
 #[test]
-fn nested_join_under_scope_under_join_does_not_deadlock() {
-    with_watchdog(120, || {
-        let pool = ThreadPool::new(2);
-        let sum = AtomicUsize::new(0);
-        let (left, ()) = pool.join(
-            || {
-                // join -> scope -> join nesting on the same 2 workers.
-                pool::scope(|s| {
-                    let sum = &sum;
-                    for i in 0..16usize {
-                        s.spawn(move || {
-                            let (a, b) = pool::join(|| i, || i * 2);
-                            sum.fetch_add(a + b, Ordering::Relaxed);
-                        });
-                    }
-                });
-                7usize
-            },
-            || {
-                busy(10_000);
-            },
-        );
-        assert_eq!(left, 7);
-        assert_eq!(sum.load(Ordering::Relaxed), (0..16).map(|i| 3 * i).sum::<usize>());
-    });
-}
-
-#[test]
 fn panicking_task_propagates_without_poisoning_the_pool() {
     with_watchdog(120, || {
         let pool = ThreadPool::new(4);
@@ -173,38 +153,35 @@ fn panicking_task_propagates_without_poisoning_the_pool() {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "join-task failure");
 
-        // scope: one panicking task among many; the rest complete, the panic
-        // surfaces at the scope exit.
+        // join tree: one panicking leaf among many; every `join` retires
+        // both halves before it re-throws, so the other leaves complete and
+        // the panic surfaces at the root.
         let completed = AtomicUsize::new(0);
         let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let completed = &completed;
-                for i in 0..64usize {
-                    s.spawn(move || {
-                        if i == 17 {
-                            panic!("scope-task failure");
-                        }
-                        busy(200);
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
+            pool.install(|| {
+                join_tree(0..64, &|i| {
+                    if i == 17 {
+                        panic!("tree-leaf failure");
+                    }
+                    busy(200);
+                    completed.fetch_add(1, Ordering::Relaxed);
+                })
             });
         }));
-        assert!(r.is_err(), "scope panic must propagate");
+        let payload = r.expect_err("join-tree panic must propagate");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "tree-leaf failure");
         assert_eq!(completed.load(Ordering::Relaxed), 63);
 
         // The pool is not poisoned: a full imbalanced workload still runs
         // every task exactly once afterwards.
         let costs = seeded_costs(512, 0xFACADE);
         let counters: Vec<AtomicUsize> = (0..costs.len()).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(|s| {
-            let counters = &counters;
-            for (t, &cost) in costs.iter().enumerate() {
-                s.spawn(move || {
-                    busy(cost);
-                    counters[t].fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        pool.install(|| {
+            join_tree(0..costs.len(), &|t| {
+                busy(costs[t]);
+                counters[t].fetch_add(1, Ordering::Relaxed);
+            })
         });
         assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
         let (a, b) = pool.join(|| 2 + 2, || 3 * 3);
@@ -300,15 +277,14 @@ fn park_unpark_races_with_shutdown_do_not_hang_drop() {
     with_watchdog(120, || {
         for round in 0..200 {
             let pool = ThreadPool::new(4);
-            // Mix of detached work (may still be queued at drop) and a
-            // completed install, so drop races against every worker state:
-            // executing, scanning, announcing, parked.
-            for i in 0..8 {
-                pool.spawn(move || {
-                    busy(10 + (i % 3) * 30);
-                });
-            }
-            pool.install(|| busy(20));
+            // A join tree spreads work over the workers just before the
+            // drop, so drop races against every worker state: finishing a
+            // steal, scanning, announcing, parked.
+            pool.install(|| {
+                join_tree(0..8, &|i| {
+                    busy(10 + (i as u64 % 3) * 30);
+                })
+            });
             if round % 3 == 0 {
                 // Sometimes give workers time to park before dropping;
                 // sometimes drop while they are mid-scan.
@@ -389,14 +365,9 @@ fn env_thread_count_is_respected_by_instance_pools() {
                 use std::collections::HashSet;
                 use std::sync::Mutex;
                 let ids = Mutex::new(HashSet::new());
-                pool::scope(|s| {
-                    let ids = &ids;
-                    for _ in 0..64 {
-                        s.spawn(move || {
-                            ids.lock().unwrap().insert(std::thread::current().id());
-                            busy(2_000);
-                        });
-                    }
+                join_tree(0..64, &|_| {
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                    busy(2_000);
                 });
                 let len = ids.lock().unwrap().len();
                 len

@@ -3,10 +3,11 @@
 //! This module contains the crate's only `unsafe` code (the workspace's
 //! second sanctioned exception, next to the AVX2 micro-kernel in
 //! `dalia_la::blas`): a [`JobRef`] is a type- and lifetime-erased pointer to
-//! a job that lives either on the publishing caller's stack ([`StackJob`]) or
-//! in a heap allocation ([`HeapJob`]). Erasure is what lets a long-lived
-//! worker thread execute a closure that borrows the caller's locals — the
-//! same mechanism `rayon-core` and `crossbeam::scope` are built on.
+//! a [`StackJob`] that lives on the publishing caller's stack. Erasure is
+//! what lets a long-lived worker thread execute a closure that borrows the
+//! caller's locals — the same mechanism `rayon-core`'s `join` is built on.
+//! There are no heap jobs: the pool is fork-join only, so every job has a
+//! publisher that waits for it.
 //!
 //! Soundness contract, enforced by the callers in `lib.rs`:
 //!
@@ -14,13 +15,10 @@
 //!   invalidate the job's stack slot) until the job's [`Latch`] has been set,
 //!   and the latch is set only by [`StackJob::execute_erased`] *after* it has
 //!   finished touching the job;
-//! * a [`HeapJob`]'s allocation is owned by its [`JobRef`] and released
-//!   exactly once, inside [`HeapJob::execute_erased`];
 //! * every published [`JobRef`] is executed exactly once: it is consumed
 //!   either by the worker that dequeued it or by the publisher popping it
 //!   back.
 
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -106,82 +104,6 @@ impl Latch {
     }
 }
 
-/// A counting latch for scopes: incremented per spawned task, decremented on
-/// completion; waiters wake when the count reaches zero. Like [`Latch`], it
-/// wakes both condvar sleepers (external threads in [`CountLatch::wait`])
-/// and a registered parked pool worker, with count and waker under one
-/// mutex so registration against an already-clear latch is refused rather
-/// than lost. (A `CountLatch` lives in an `Arc`'d scope state, so unlike
-/// [`Latch`] it has no use-after-free hazard — the shared discipline is
-/// kept for uniformity.)
-pub(crate) struct CountLatch {
-    state: Mutex<CountLatchState>,
-    cv: Condvar,
-}
-
-struct CountLatchState {
-    pending: usize,
-    waker: Option<WakeHandle>,
-}
-
-impl CountLatch {
-    pub(crate) fn new() -> Self {
-        CountLatch {
-            state: Mutex::new(CountLatchState { pending: 0, waker: None }),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn increment(&self) {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).pending += 1;
-    }
-
-    pub(crate) fn decrement(&self) {
-        let waker = {
-            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.pending -= 1;
-            if st.pending != 0 {
-                return;
-            }
-            self.cv.notify_all();
-            st.waker.take()
-        };
-        if let Some(handle) = waker {
-            handle.wake();
-        }
-    }
-
-    pub(crate) fn is_clear(&self) -> bool {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).pending == 0
-    }
-
-    /// Block (condvar, no polling) until the count reaches zero. Used by
-    /// external threads waiting on a scope; workers park instead (see
-    /// [`CountLatch::set_waker`]).
-    pub(crate) fn wait(&self) {
-        let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while g.pending != 0 {
-            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Register the parked worker to be woken when the count reaches zero.
-    /// Returns `false` without registering if the count is already zero.
-    pub(crate) fn set_waker(&self, handle: WakeHandle) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.pending == 0 {
-            return false;
-        }
-        st.waker = Some(handle);
-        true
-    }
-
-    /// Deregister the waker.
-    pub(crate) fn take_waker(&self) {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).waker.take();
-    }
-}
-
 /// Type- and lifetime-erased pointer to a publishable job.
 pub(crate) struct JobRef {
     data: *const (),
@@ -189,7 +111,7 @@ pub(crate) struct JobRef {
 }
 
 // SAFETY: a `JobRef` always points at a job whose closure is `Send` (bounded
-// at construction in `StackJob::new` / `HeapJob::new`), and logical ownership
+// at construction in `StackJob::new`), and logical ownership
 // of the pointee transfers with the ref: exactly one thread executes it.
 #[allow(unsafe_code)]
 unsafe impl Send for JobRef {}
@@ -262,62 +184,5 @@ where
         let res = catch_unwind(AssertUnwindSafe(f));
         *job.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(res);
         job.latch.set();
-    }
-}
-
-/// A heap-allocated fire-and-forget job. Used by `scope` spawns, where the
-/// closure must outlive the spawning call but not the scope itself; all
-/// bookkeeping (panic capture, scope counting) is folded into the closure by
-/// the caller.
-pub(crate) struct HeapJob<F> {
-    func: F,
-}
-
-impl<F> HeapJob<F>
-where
-    F: FnOnce() + Send,
-{
-    pub(crate) fn new(func: F) -> Box<Self> {
-        Box::new(HeapJob { func })
-    }
-
-    /// Erase the boxed job into a publishable [`JobRef`] that owns the
-    /// allocation.
-    pub(crate) fn into_job_ref(self: Box<Self>) -> JobRef {
-        JobRef {
-            data: Box::into_raw(self) as *const (),
-            execute_fn: Self::execute_erased,
-        }
-    }
-
-    #[allow(unsafe_code)]
-    unsafe fn execute_erased(data: *const ()) {
-        // SAFETY: `data` came from `Box::into_raw` in `into_job_ref` and is
-        // reconstructed exactly once here.
-        let job = unsafe { Box::from_raw(data as *mut Self) };
-        (job.func)();
-    }
-}
-
-/// Panic payload storage shared by a scope and its spawned tasks: the first
-/// captured payload wins and is re-thrown when the scope completes.
-pub(crate) struct PanicSlot {
-    slot: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl PanicSlot {
-    pub(crate) fn new() -> Self {
-        PanicSlot { slot: Mutex::new(None) }
-    }
-
-    pub(crate) fn store(&self, payload: Box<dyn Any + Send>) {
-        let mut g = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if g.is_none() {
-            *g = Some(payload);
-        }
-    }
-
-    pub(crate) fn take(&self) -> Option<Box<dyn Any + Send>> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner).take()
     }
 }

@@ -24,9 +24,15 @@
 //!   timed `recv`; v2 wake latency is measured in tens of microseconds (see
 //!   `BENCH_pool.json`) and an idle pool consumes no CPU. [`WakeStats`]
 //!   exposes the park/wake accounting;
-//! * fork-join primitives — [`join`], [`scope`], [`install`], detached
-//!   [`spawn`] — with **panic capture and propagation**: a panicking task
-//!   unwinds at the fork point of its publisher, and the pool survives.
+//! * two fork-join primitives — [`join`] and [`install`] — with **panic
+//!   capture and propagation**: a panicking task unwinds at the fork point of
+//!   its publisher, and the pool survives.
+//!
+//! Fork-join is the only task model. Every published job lives on the stack
+//! of a publisher that blocks until it has run, so a pool never holds a job
+//! nobody waits for. The paper's layers need nothing else: S1 fans θ points
+//! out through `par_iter`, S3 eliminates partitions through `join`, and each
+//! served request is one `install`.
 //!
 //! # Scheduling discipline and determinism
 //!
@@ -36,7 +42,7 @@
 //! was stolen, helps other workers while waiting for the thief to finish —
 //! parking when there is nothing to help with. Nested `join`s therefore
 //! split **inline** on the current pool — calling a parallel region from
-//! inside another parallel region never spawns new OS threads and never
+//! inside another parallel region never starts new OS threads and never
 //! oversubscribes.
 //!
 //! Work stealing randomizes *where* a task runs, never *what* it computes:
@@ -48,17 +54,17 @@
 //!
 //! The pool contains the workspace's second sanctioned `unsafe` block (next
 //! to the AVX2 micro-kernel in `dalia_la::blas`): the **job lifetime
-//! erasure** in the private `job` module. A `join`/`scope`/`install` closure
-//! may borrow the publishing caller's stack, yet must be executed by a
+//! erasure** in the private `job` module. A `join`/`install` closure may
+//! borrow the publishing caller's stack, yet must be executed by a
 //! long-lived worker thread, so the closure is erased to a raw
-//! pointer + vtable pair (`JobRef`). Soundness rests on two invariants that
-//! every publishing site in this crate upholds:
+//! pointer + vtable pair (`JobRef`) over a `StackJob` in the publisher's
+//! frame. Soundness rests on two invariants that both publishing sites in
+//! this crate (`join_in_worker` and `ThreadPool::install`) uphold:
 //!
-//! 1. **The publisher outlives the job.** A stack-allocated job's publisher
-//!    blocks (helping or parked, never returning) until the job's completion
-//!    latch is set, and the latch is set only *after* the executor has
-//!    finished touching the job. Heap-allocated jobs (`spawn`, scope tasks)
-//!    own their closure and are released exactly once, inside execution.
+//! 1. **The publisher outlives the job.** The publisher blocks (helping or
+//!    parked, never returning) until the job's completion latch is set, and
+//!    the latch is set only *after* the executor has finished touching the
+//!    job.
 //! 2. **Exactly-once execution.** Every published `JobRef` is consumed by
 //!    exactly one executor: the worker that dequeued it or the publisher
 //!    popping it back. The deques and the injector never duplicate a ref.
@@ -72,7 +78,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crossbeam::channel::{self, Receiver, Sender};
@@ -82,7 +88,7 @@ mod park;
 
 pub use park::{Parker, Unparker, WakeStats};
 
-use job::{CountLatch, HeapJob, JobRef, PanicSlot, StackJob};
+use job::{JobRef, StackJob};
 use park::{Sleep, WakeReason};
 
 /// How many fruitless scan rounds (pop + steal sweep + injector poll, with a
@@ -103,9 +109,6 @@ struct PoolInner {
     injector_rx: Receiver<JobRef>,
     shutdown: AtomicBool,
     sleep: Arc<Sleep>,
-    /// Panics swallowed from detached `spawn` tasks (observable for tests /
-    /// diagnostics; detached tasks have no caller to propagate to).
-    detached_panics: AtomicUsize,
 }
 
 impl PoolInner {
@@ -147,7 +150,7 @@ impl PoolInner {
             .or_else(|| self.injector_rx.try_recv().ok())
     }
 
-    /// Racy peek used only for spurious-wake accounting.
+    /// Racy peek used for spurious-wake accounting and the shutdown check.
     fn has_visible_work(&self, index: usize) -> bool {
         if !self.injector_rx.is_empty() {
             return true;
@@ -258,22 +261,17 @@ fn worker_loop(inner: Arc<PoolInner>, index: usize, parker: Parker) {
             job.execute();
         }
     }
-    // Shutdown drain: run whatever was already published (detached `spawn`
-    // jobs still queued in the deques or the injector) instead of leaking
-    // it — a `JobRef` reclaims its heap allocation only when executed. New
-    // external submissions are impossible (drop takes the pool by value);
-    // worker-side respawns are drained too, until the queues are empty.
-    while let Some(job) = inner.find_work(index) {
-        job.execute();
-    }
+    // Every job is a `StackJob` whose publisher blocks until it has run, and
+    // a publisher borrows the pool, so nothing is queued once it is dropped.
+    debug_assert!(!inner.has_visible_work(index), "dalia-pool: job queued at shutdown");
     WORKER.with(|w| *w.borrow_mut() = None);
 }
 
 /// A work-stealing fork-join thread pool.
 ///
 /// Most code uses the process-wide [`global`] pool through the free functions
-/// ([`join`], [`scope`], [`install`], [`spawn`]); explicit instances exist so
-/// tests and benchmarks can pin an exact thread count:
+/// [`join`] and [`install`]; explicit instances exist so tests and
+/// benchmarks can pin an exact thread count:
 ///
 /// ```
 /// let pool = dalia_pool::ThreadPool::new(2);
@@ -305,7 +303,6 @@ impl ThreadPool {
             injector_rx,
             shutdown: AtomicBool::new(false),
             sleep,
-            detached_panics: AtomicUsize::new(0),
         });
         let handles = parkers
             .into_iter()
@@ -315,7 +312,7 @@ impl ThreadPool {
                 std::thread::Builder::new()
                     .name(format!("dalia-pool-{i}"))
                     .spawn(move || worker_loop(inner, i, parker))
-                    .expect("dalia-pool: failed to spawn worker thread")
+                    .expect("dalia-pool: failed to start worker thread")
             })
             .collect();
         ThreadPool { inner, handles }
@@ -324,11 +321,6 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn num_threads(&self) -> usize {
         self.inner.num_threads()
-    }
-
-    /// Number of panics swallowed from detached [`ThreadPool::spawn`] tasks.
-    pub fn detached_panic_count(&self) -> usize {
-        self.inner.detached_panics.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the pool's parking/wake accounting: how often workers
@@ -343,7 +335,7 @@ impl ThreadPool {
     ///
     /// Called on a worker of this pool, `b` is published to the worker's own
     /// deque (stealable by idle workers) and `a` runs inline — nested `join`s
-    /// split in place without spawning threads. Called from any other thread,
+    /// split in place without starting threads. Called from any other thread,
     /// the whole join is [`install`](Self::install)ed into the pool first.
     ///
     /// If either closure panics, the panic is re-thrown here after *both*
@@ -394,52 +386,6 @@ impl ThreadPool {
             Ok(r) => r,
             Err(payload) => resume_unwind(payload),
         }
-    }
-
-    /// Create a fork-join scope: closures spawned on it may borrow data that
-    /// outlives the `scope` call, and `scope` does not return until every
-    /// spawned task has completed.
-    ///
-    /// The first panic among the body and the spawned tasks is re-thrown
-    /// after all tasks have completed.
-    pub fn scope<'scope, OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce(&Scope<'scope>) -> R,
-    {
-        scope_on(&self.inner, op)
-    }
-
-    /// Submit a detached `'static` task. Panics inside the task are caught
-    /// and counted ([`ThreadPool::detached_panic_count`]) rather than
-    /// propagated — a detached task has no caller to unwind into — and never
-    /// poison the pool.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        spawn_detached(&self.inner, f);
-    }
-}
-
-/// Publish a detached task. On a worker of `inner` the task goes to the
-/// worker's own deque — a worker must never block on its own injector, since
-/// it is one of the channel's consumers (a full injector would deadlock a
-/// 1-thread pool). From any other thread it goes through the injector, whose
-/// blocking send is ordinary backpressure drained by the target pool.
-fn spawn_detached<F>(inner: &Arc<PoolInner>, f: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    let pool_ref = Arc::clone(inner);
-    let task = move || {
-        if catch_unwind(AssertUnwindSafe(f)).is_err() {
-            pool_ref.detached_panics.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    let job = HeapJob::new(task).into_job_ref();
-    match current_worker() {
-        Some((pool, index)) if Arc::ptr_eq(&pool, inner) => pool.push_local(index, job),
-        _ => inner.inject(job),
     }
 }
 
@@ -513,94 +459,6 @@ where
     }
 }
 
-/// Run a fork-join scope on the given pool: create the scope, run the body,
-/// wait for every spawned task (helping with queued work when the caller is
-/// itself a worker of this pool, parking when there is nothing to help
-/// with), then re-throw the first captured panic.
-fn scope_on<'scope, OP, R>(inner: &Arc<PoolInner>, op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let state = Arc::new(ScopeState::new());
-    let scope = Scope {
-        pool: Arc::clone(inner),
-        state: Arc::clone(&state),
-        _marker: std::marker::PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    match current_worker() {
-        Some((pool, index)) if Arc::ptr_eq(&pool, inner) => {
-            while !state.latch.is_clear() {
-                if let Some(job) = pool.find_work(index) {
-                    job.execute();
-                    continue;
-                }
-                if !state.latch.set_waker(pool.sleep.completion_handle(index)) {
-                    break;
-                }
-                let found = pool.park_or_find(index, &|| state.latch.is_clear());
-                state.latch.take_waker();
-                if let Some(job) = found {
-                    job.execute();
-                }
-            }
-        }
-        // External threads cannot help; they sleep on the latch's condvar
-        // until the count reaches zero (no polling).
-        _ => state.latch.wait(),
-    }
-    if let Some(payload) = state.panic.take() {
-        resume_unwind(payload);
-    }
-    match result {
-        Ok(r) => r,
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// Shared bookkeeping of one [`Scope`]: outstanding-task count + first panic.
-struct ScopeState {
-    latch: CountLatch,
-    panic: PanicSlot,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        ScopeState { latch: CountLatch::new(), panic: PanicSlot::new() }
-    }
-}
-
-/// A fork-join scope created by [`ThreadPool::scope`] / [`scope`]. Tasks
-/// spawned on it may borrow from the enclosing stack frame (`'scope`).
-pub struct Scope<'scope> {
-    pool: Arc<PoolInner>,
-    state: Arc<ScopeState>,
-    _marker: std::marker::PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn a task on the scope. The task may borrow `'scope` data; the
-    /// enclosing `scope` call blocks until it completes.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.state.latch.increment();
-        let state = Arc::clone(&self.state);
-        let task = move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                state.panic.store(payload);
-            }
-            state.latch.decrement();
-        };
-        let job = HeapJob::new(task).into_job_ref();
-        match current_worker() {
-            Some((pool, index)) if Arc::ptr_eq(&pool, &self.pool) => pool.push_local(index, job),
-            _ => self.pool.inject(job),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Global pool + context-following free functions.
 // ---------------------------------------------------------------------------
@@ -665,31 +523,6 @@ where
     global().install(f)
 }
 
-/// [`ThreadPool::scope`] on the current pool.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    if let Some((pool, _)) = current_worker() {
-        // Scope on the worker's own pool without going through a `ThreadPool`
-        // handle (workers only hold the shared inner state).
-        return scope_on(&pool, op);
-    }
-    global().scope(op)
-}
-
-/// [`ThreadPool::spawn`] on the current pool.
-pub fn spawn<F>(f: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    if let Some((pool, _)) = current_worker() {
-        spawn_detached(&pool, f);
-        return;
-    }
-    global().spawn(f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,85 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_tasks() {
-        let pool = ThreadPool::new(3);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn scope_propagates_task_panic_after_all_tasks_finish() {
-        let pool = ThreadPool::new(2);
-        let finished = AtomicUsize::new(0);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let finished = &finished;
-                for i in 0..8 {
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("scope-task");
-                        }
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(r.is_err());
-        assert_eq!(finished.load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
-    fn detached_spawn_runs_and_swallows_panics() {
-        let pool = ThreadPool::new(2);
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = Arc::clone(&done);
-        pool.spawn(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.spawn(|| panic!("detached"));
-        for _ in 0..2000 {
-            if done.load(Ordering::Relaxed) == 1 && pool.detached_panic_count() == 1 {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("detached tasks did not complete in time");
-    }
-
-    #[test]
-    fn worker_side_spawn_flood_does_not_deadlock() {
-        // Regression: detached spawns from a worker must go to the local
-        // deque, never block on the pool's own injector — on a 1-thread pool
-        // a worker blocked in send() would be the only possible consumer.
-        const FLOOD: usize = 2 * INJECTOR_CAP;
-        let pool = ThreadPool::new(1);
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = Arc::clone(&done);
-        pool.install(move || {
-            for _ in 0..FLOOD {
-                let d = Arc::clone(&d);
-                spawn(move || {
-                    d.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        for _ in 0..10_000 {
-            if done.load(Ordering::Relaxed) == FLOOD {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("flooded detached spawns did not drain: {}/{FLOOD}", done.load(Ordering::Relaxed));
-    }
-
-    #[test]
     fn single_thread_pool_runs_inline() {
         let pool = ThreadPool::new(1);
         let (a, b) = pool.join(|| 1, || 2);
@@ -852,29 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_drains_queued_detached_jobs() {
-        // Jobs already published when the pool is dropped must still run
-        // (and reclaim their heap allocations) — the shutdown drain, not a
-        // leak. The first job keeps the single worker busy so the rest are
-        // verifiably still queued when `drop` sets the shutdown flag.
-        let done = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::new(1);
-        let d = Arc::clone(&done);
-        pool.spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            d.fetch_add(1, Ordering::Relaxed);
-        });
-        for _ in 0..16 {
-            let d = Arc::clone(&done);
-            pool.spawn(move || {
-                d.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool); // joins the worker; the drain must run every queued job
-        assert_eq!(done.load(Ordering::Relaxed), 17);
-    }
-
-    #[test]
     fn idle_workers_park_instead_of_polling() {
         let pool = ThreadPool::new(2);
         // Run something so the workers are definitely live, then go idle.
@@ -895,20 +626,18 @@ mod tests {
 
     #[test]
     fn wake_stats_are_monotonic_and_consistent() {
+        fn tree(ran: &AtomicUsize, leaves: usize) {
+            if leaves == 1 {
+                ran.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            join(|| tree(ran, leaves / 2), || tree(ran, leaves - leaves / 2));
+        }
         let pool = ThreadPool::new(3);
         let mut prev = pool.wake_stats();
         for round in 0..20 {
             let ran = AtomicUsize::new(0);
-            pool.install(|| {
-                scope(|s| {
-                    let ran = &ran;
-                    for _ in 0..16 {
-                        s.spawn(move || {
-                            ran.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            });
+            pool.install(|| tree(&ran, 16));
             assert_eq!(ran.load(Ordering::Relaxed), 16, "round {round}");
             let now = pool.wake_stats();
             for (a, b) in [

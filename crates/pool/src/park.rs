@@ -17,7 +17,7 @@
 //!   before parking, and publishers issue **targeted wakes** — pop exactly
 //!   one announced worker and unpark it — when they push a job (local deque
 //!   push or injector send, the latter through the `crossbeam` shim's notify
-//!   hook). Completion events (a `join`/`scope` latch becoming ready) wake
+//!   hook). Completion events (a `join` latch becoming ready) wake
 //!   the registered waiter directly through a [`WakeHandle`].
 //!
 //! # Why no wakeup is ever lost
@@ -134,9 +134,9 @@ pub struct WakeStats {
     /// Targeted wakes issued because a job was pushed onto a worker deque.
     pub push_wakes: u64,
     /// Targeted wakes issued by the injector channel's notify hook (external
-    /// submission through `install` / `spawn` / `scope` from non-workers).
+    /// submission through `install` from non-workers).
     pub injector_wakes: u64,
-    /// Wakes issued by a completion event: a `join`/`scope` latch became
+    /// Wakes issued by a completion event: a `join` latch became
     /// ready and woke its registered waiter.
     pub completion_wakes: u64,
     /// Times a parked worker woke up and found neither work nor its awaited

@@ -14,8 +14,9 @@
 //!   nested-dissection partitioned variants executed in parallel over
 //!   partitions (the in-process analogue of the paper's multi-GPU scheme),
 //!   and the one loop per phase that every BTA routine runs,
-//! * [`streaming`] — `pobtaf_extend` / `pobtaf_retire`, incremental
-//!   trailing-block refactorization for sliding temporal windows,
+//! * [`streaming`] — `pobtaf_extend_scheduled` / `pobtaf_retire_scheduled`,
+//!   incremental trailing-block refactorization for sliding temporal
+//!   windows,
 //! * [`testing`] — deterministic SPD test matrices.
 
 pub mod bta;
@@ -34,9 +35,7 @@ pub use partition::Partitioning;
 pub use sequential::{
     pobtaf, pobtaf_with, pobtas, pobtas_lt, pobtas_with, pobtasi, pobtasi_with, BtaSelectedInverse,
 };
-pub use streaming::{
-    pobtaf_extend, pobtaf_extend_scheduled, pobtaf_retire, pobtaf_retire_scheduled, StreamPacks,
-};
+pub use streaming::{pobtaf_extend_scheduled, pobtaf_retire_scheduled, StreamPacks};
 
 /// Errors produced by the structured solvers.
 #[derive(Clone, Debug, PartialEq)]

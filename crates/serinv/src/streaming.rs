@@ -32,7 +32,7 @@
 //!    `L_diag`/`L_sub` blocks (`O(n · a · b²)` with `a ≪ b`).
 //! 3. **The tip.** It accumulates one Schur update per column.
 //!
-//! [`pobtaf_extend`] performs exactly the kernel calls the cold
+//! [`pobtaf_extend_scheduled`] performs exactly the kernel calls the cold
 //! factorization [`crate::pobtaf`] would issue for the recomputed regions,
 //! with bitwise-identical operands, so the extended factor is **bitwise
 //! identical** to a cold full factorization of the new window — at any
@@ -40,12 +40,12 @@
 //! only moves disjoint-output subtasks between workers. Cost is
 //! `O((k + 1) b³ + n a b²)` against the cold `O(n b³)`.
 //!
-//! [`pobtaf_retire`] handles the other edge of the window: dropping leading
-//! block columns invalidates *every* factor column (column 0's Schur
-//! complement cascades through the entire elimination), so retirement is a
-//! full refactorization that recycles the factor's storage in place. The
-//! streaming session layer amortizes this by retiring in batches while
-//! appending incrementally.
+//! [`pobtaf_retire_scheduled`] handles the other edge of the window:
+//! dropping leading block columns invalidates *every* factor column (column
+//! 0's Schur complement cascades through the entire elimination), so
+//! retirement is a full refactorization that recycles the factor's storage
+//! in place. The streaming session layer amortizes this by retiring in
+//! batches while appending incrementally.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
 use crate::distributed::{factor_columns, InteriorSchedule, Lanes, PackLanes};
@@ -88,17 +88,10 @@ impl Default for StreamPacks {
 /// boundary block changes). The arrow row, tip, and everything from column
 /// `n_old − 1` may differ arbitrarily.
 ///
-/// The result is bitwise identical to `pobtaf(a_new)`.
-pub fn pobtaf_extend(factor: &mut BtaCholesky, a_new: &BtaMatrix) -> Result<(), SerinvError> {
-    let mut packs = StreamPacks::new();
-    pobtaf_extend_scheduled(factor, a_new, &mut packs, InteriorSchedule::Stealable)
-}
-
-/// [`pobtaf_extend`] with warm [`StreamPacks`] lanes and an explicit
-/// [`InteriorSchedule`]. The two schedules produce **bitwise identical**
-/// factors; `Stealable` forks the disjoint-output subtasks of each
-/// recomputed column onto the pool, as the reduced system of
-/// [`crate::d_pobtaf`] does.
+/// `packs` carries warm pack lanes across updates. The result is bitwise
+/// identical to `pobtaf(a_new)` under either [`InteriorSchedule`];
+/// `Stealable` forks the disjoint-output subtasks of each recomputed column
+/// onto the pool, as the reduced system of [`crate::d_pobtaf`] does.
 pub fn pobtaf_extend_scheduled(
     factor: &mut BtaCholesky,
     a_new: &BtaMatrix,
@@ -206,16 +199,10 @@ pub fn pobtaf_extend_scheduled(
 /// shortcut and this is a full refactorization. It exists so a streaming
 /// session keeps one factor allocation (and one set of pack lanes) alive
 /// across the whole append/retire lifecycle, and so retirement cost can be
-/// amortized over many cheap [`pobtaf_extend`] updates.
+/// amortized over many cheap [`pobtaf_extend_scheduled`] updates.
 ///
-/// The result is bitwise identical to `pobtaf(a_new)`.
-pub fn pobtaf_retire(factor: &mut BtaCholesky, a_new: &BtaMatrix) -> Result<(), SerinvError> {
-    let mut packs = StreamPacks::new();
-    pobtaf_retire_scheduled(factor, a_new, &mut packs, InteriorSchedule::Stealable)
-}
-
-/// [`pobtaf_retire`] with warm [`StreamPacks`] lanes and an explicit
-/// [`InteriorSchedule`]; the schedules are bitwise identical.
+/// The result is bitwise identical to `pobtaf(a_new)` under either
+/// [`InteriorSchedule`].
 pub fn pobtaf_retire_scheduled(
     factor: &mut BtaCholesky,
     a_new: &BtaMatrix,
@@ -230,7 +217,8 @@ pub fn pobtaf_retire_scheduled(
     );
     assert!(
         a_new.n <= m.n,
-        "pobtaf_retire: the new window must not be larger than the factor (use pobtaf_extend)"
+        "pobtaf_retire: the new window must not be larger than the factor \
+         (use pobtaf_extend_scheduled)"
     );
     // Shrink the storage to the new window, keeping the allocations of the
     // surviving blocks, then overwrite with the new assembled values.
@@ -296,11 +284,13 @@ mod tests {
 
     #[test]
     fn extend_matches_cold_factorization_bitwise() {
+        let mut packs = StreamPacks::new();
         for (n_old, n_new, b, a) in [(4, 5, 3, 2), (4, 7, 3, 2), (1, 3, 2, 1), (3, 5, 2, 0)] {
             let a_new = test_matrix(n_new, b, a, 11);
             let a_old = old_window_of(&a_new, n_old);
             let mut f = pobtaf(&a_old).unwrap();
-            pobtaf_extend(&mut f, &a_new).unwrap();
+            pobtaf_extend_scheduled(&mut f, &a_new, &mut packs, InteriorSchedule::Stealable)
+                .unwrap();
             let cold = pobtaf(&a_new).unwrap();
             assert_factor_bits_eq(&f, &cold, &format!("extend {n_old}->{n_new} b={b} a={a}"));
         }
@@ -389,7 +379,8 @@ mod tests {
         let a_old = old_window_of(&a_new, 4);
         let mut f = pobtaf(&a_old).unwrap();
         let before: Vec<*const f64> = f.blocks.diag.iter().map(|m| m.as_slice().as_ptr()).collect();
-        pobtaf_extend(&mut f, &a_new).unwrap();
+        let mut packs = StreamPacks::new();
+        pobtaf_extend_scheduled(&mut f, &a_new, &mut packs, InteriorSchedule::Stealable).unwrap();
         for (i, &p) in before.iter().enumerate() {
             assert_eq!(p, f.blocks.diag[i].as_slice().as_ptr(), "diag[{i}] was reallocated");
         }

@@ -2,6 +2,7 @@
 //! (sequential and distributed), the measured counterpart of Fig. 5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dalia_la::PackBuffer;
 use serinv::{d_pobtaf, d_pobtas, d_pobtasi, pobtaf, pobtas, pobtasi, testing, Partitioning};
 use std::hint::black_box;
 
@@ -41,15 +42,16 @@ fn bench_distributed(c: &mut Criterion) {
             bencher.iter(|| black_box(d_pobtaf(&m, part).unwrap()));
         });
         let f = d_pobtaf(&m, &part).unwrap();
+        let mut pack = PackBuffer::new();
         group.bench_with_input(BenchmarkId::new("d_pobtas", format!("P{p}")), &f, |bencher, f| {
             bencher.iter(|| {
                 let mut r = rhs.clone();
-                d_pobtas(f, &mut r);
+                d_pobtas(f, &mut r, &mut pack);
                 black_box(r);
             });
         });
         group.bench_with_input(BenchmarkId::new("d_pobtasi", format!("P{p}")), &f, |bencher, f| {
-            bencher.iter(|| black_box(d_pobtasi(f)));
+            bencher.iter(|| black_box(d_pobtasi(f, &mut pack)));
         });
     }
     group.finish();

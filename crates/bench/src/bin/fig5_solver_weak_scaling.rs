@@ -6,6 +6,7 @@ use dalia_bench::{header, row};
 use dalia_hpc::{
     d_bta_factor_time, d_bta_selinv_time, d_bta_solve_time, gh200, weak_efficiency, BtaDims,
 };
+use dalia_la::PackBuffer;
 use serinv::{d_pobtaf, d_pobtas, d_pobtasi, pobtaf, pobtas, pobtasi, testing, Partitioning};
 use std::time::Instant;
 
@@ -37,10 +38,10 @@ fn main() {
         let dt_f = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let mut r = rhs0.clone();
-        d_pobtas(&df, &mut r);
+        d_pobtas(&df, &mut r, &mut PackBuffer::new());
         let dt_s = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let _ = d_pobtasi(&df);
+        let _ = d_pobtasi(&df, &mut PackBuffer::new());
         let dt_i = t0.elapsed().as_secs_f64();
         println!("{}", row(&[
             format!("{p}"),

@@ -390,7 +390,7 @@ impl InlaEngine {
 /// the temporal window by `k` new time slices (with their observations) and
 /// [`retire_slices`](Self::retire_slices) drops the `k` oldest; both advance
 /// the conditional BTA factor through the incremental streaming kernels
-/// (`pobtaf_extend_scheduled` / `pobtaf_retire_scheduled`) instead of
+/// (`pobtaf_extend` / `pobtaf_retire`) instead of
 /// refitting, then re-pin the latent mean, marginal standard deviations and
 /// fixed-effect summaries on the new window. The hyperparameter posterior
 /// stays pinned at the original fit — streaming updates the latent field

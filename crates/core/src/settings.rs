@@ -1,6 +1,7 @@
-//! Engine configuration: solver backends, parallelism switches and the
-//! framework presets (DALIA / INLA_DIST-like / R-INLA-like) compared in the
-//! paper's Table I and evaluation section.
+//! Engine configuration: the solver backend, the optimizer and inner-loop
+//! tolerances, and the framework presets (DALIA / INLA_DIST-like /
+//! R-INLA-like) compared in the paper's Table I and evaluation section. The
+//! worker count is the pool's (`DALIA_NUM_THREADS`), not a setting.
 
 use crate::CoreError;
 

@@ -35,9 +35,9 @@
 //!
 //! The BTA workspaces also own a [`PackBuffer`] — the panel-packing scratch
 //! of the blocked dense kernels in `dalia_la::blas` — which is threaded
-//! through `serinv`'s `pobtaf_with`/`pobtas_with`/`pobtasi_with`, so the
-//! factorization of a warmed-up solver performs no heap allocation (see
-//! `docs/performance.md`).
+//! through `serinv`'s `pobtaf_with`, `d_pobtas` and `d_pobtasi` at every
+//! partition count, so the factorization of a warmed-up solver performs no
+//! heap allocation (see `docs/performance.md`).
 
 use crate::settings::SolverBackend;
 use crate::snapshot::{triangle_pairs, BtaSigma, SelectedInverse, SnapshotFactor};
@@ -46,9 +46,8 @@ use dalia_la::{Matrix, PackBuffer};
 use dalia_model::{CoregionalModel, ModelHyper};
 use dalia_sparse::{ops, CholeskySymbolic, CsrMatrix, SparseCholesky, SparseError};
 use serinv::{
-    d_pobtaf, d_pobtas, d_pobtasi, pobtaf, pobtaf_extend_scheduled, pobtaf_retire_scheduled,
-    pobtaf_with, pobtas_with, pobtasi_with, BtaCholesky, BtaMatrix, DistBtaCholesky,
-    InteriorSchedule, Partitioning, StreamPacks,
+    d_pobtaf, d_pobtas, d_pobtasi, pobtaf, pobtaf_extend, pobtaf_retire, pobtaf_with,
+    BtaCholesky, BtaMatrix, DistBtaCholesky, Partitioning, StreamPacks,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -586,9 +585,7 @@ impl LatentSolver for BtaSolver {
             model.dims.nt > self.ws.model.dims.nt,
             "extend_window: the new window must have more time steps"
         );
-        self.advance_window(model, hyper, |f, qc, packs| {
-            pobtaf_extend_scheduled(f, qc, packs, InteriorSchedule::Stealable)
-        })
+        self.advance_window(model, hyper, pobtaf_extend)
     }
 
     fn retire_window(
@@ -600,9 +597,7 @@ impl LatentSolver for BtaSolver {
             model.dims.nt < self.ws.model.dims.nt,
             "retire_window: the new window must have fewer time steps"
         );
-        self.advance_window(model, hyper, |f, qc, packs| {
-            pobtaf_retire_scheduled(f, qc, packs, InteriorSchedule::Stealable)
-        })
+        self.advance_window(model, hyper, pobtaf_retire)
     }
 
     fn design(&self) -> &CsrMatrix {
@@ -625,10 +620,7 @@ impl LatentSolver for BtaSolver {
         let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
         let t0 = Instant::now();
         let mut m = Matrix::col_vector(rhs);
-        match fc {
-            DistBtaCholesky::Sequential(f) => pobtas_with(f, &mut m, &mut self.ws.pack),
-            DistBtaCholesky::Partitioned { .. } => d_pobtas(fc, &mut m),
-        }
+        d_pobtas(fc, &mut m, &mut self.ws.pack);
         let out = m.col(0).to_vec();
         self.ws.timers.solve_seconds += t0.elapsed().as_secs_f64();
         out
@@ -657,10 +649,7 @@ impl LatentSolver for BtaSolver {
     fn selected_inverse(&mut self) -> SelectedInverse {
         let fc = self.fc.as_ref().expect("LatentSolver: factorize must be called first");
         let t0 = Instant::now();
-        let sel = match fc {
-            DistBtaCholesky::Sequential(f) => pobtasi_with(f, &mut self.ws.pack),
-            DistBtaCholesky::Partitioned { .. } => d_pobtasi(fc),
-        };
+        let sel = d_pobtasi(fc, &mut self.ws.pack);
         let sigma = Arc::new(BtaSigma::keep(sel, self.pairs.clone()));
         self.ws.timers.selinv_seconds += t0.elapsed().as_secs_f64();
         SelectedInverse::Bta(sigma)

@@ -22,9 +22,7 @@
 
 use dalia_hpc::pool::{self, ThreadPool};
 use serinv::testing::{test_matrix, test_rhs};
-use serinv::{
-    d_pobtaf_scheduled, d_pobtas_scheduled, d_pobtasi_scheduled, InteriorSchedule, Partitioning,
-};
+use serinv::{d_pobtaf, d_pobtas, d_pobtasi, Partitioning};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -320,11 +318,12 @@ fn skewed_partition_layout_completes_within_2x_of_balanced() {
             // Warmup, then best-of-3, each run a full S3 pass.
             let run = || {
                 pool.install(|| {
-                    let f = d_pobtaf_scheduled(&m, part, InteriorSchedule::Stealable)
-                        .expect("factorization");
+                    let f = d_pobtaf(&m, part).expect("factorization");
                     let mut rhs = rhs0.clone();
-                    d_pobtas_scheduled(&f, &mut rhs, InteriorSchedule::Stealable);
-                    let sel = d_pobtasi_scheduled(&f, InteriorSchedule::Stealable);
+                    // The caller's kernel workspace (a `dalia_la::PackBuffer`).
+                    let mut pack = Default::default();
+                    d_pobtas(&f, &mut rhs, &mut pack);
+                    let sel = d_pobtasi(&f, &mut pack);
                     f.logdet().unwrap() + rhs.as_slice()[0] + sel.blocks.diag[0].as_slice()[0]
                 })
             };

@@ -306,7 +306,7 @@ fn store_blocking(mc: usize, kc: usize, nc: usize) {
 /// through the `*_with` entry points allocates nothing after the first
 /// factorization warms the buffers up. The stateful solver sessions in
 /// `dalia-core` own one `PackBuffer` per solver and thread it through
-/// `serinv`'s `pobtaf_with` / `pobtas_with` / `pobtasi_with`. Every kernel
+/// `serinv`'s `pobtaf_with` / `d_pobtas` / `d_pobtasi`. Every kernel
 /// call re-packs the panels it reads.
 #[derive(Debug, Default)]
 pub struct PackBuffer {

@@ -39,19 +39,19 @@
 //!   with an optional left and right separator, and its three sweeps
 //!   (`forward`, `backward`, `selected_inverse`) are the only forward
 //!   substitution, backward substitution and selected-inversion loops in
-//!   this crate. [`pobtas`], `pobtas_lt` and [`pobtasi`] run them over the
-//!   whole factor with no separators, inline on one buffer; the tip solve and
-//!   the tip inverse stay with those callers.
+//!   this crate. [`pobtas`](crate::pobtas), `pobtas_lt` and
+//!   [`pobtasi`](crate::pobtasi) run them over the whole factor with no
+//!   separators, inline on one buffer; the tip solve and the tip inverse stay
+//!   with those callers.
 //!
 //! # Stealable partition interiors
 //!
-//! Since pool v2 a partition interior is no longer one indivisible task:
-//! [`d_pobtaf`], [`d_pobtas`] and [`d_pobtasi`] express the per-column DAG of
-//! every interior block column as `join`-structured subtasks
-//! ([`InteriorSchedule::Stealable`]). In the factorization the diagonal
-//! `potrf` stays on the critical path, then the three independent `trsm`
-//! solves against `L_jjᵀ` (sub-diagonal coupling, arrow panel `C`,
-//! left-separator fill `W`) fork as one join group, and the Schur
+//! A partition interior is not one indivisible task: [`d_pobtaf`],
+//! [`d_pobtas`] and [`d_pobtasi`] express the per-column DAG of every
+//! interior block column as `join`-structured subtasks. In the factorization
+//! the diagonal `potrf` stays on the critical path, then the three
+//! independent `trsm` solves against `L_jjᵀ` (sub-diagonal coupling, arrow
+//! panel `C`, left-separator fill `W`) fork as one join group, and the Schur
 //! accumulation / next-column propagation (which touch disjoint output
 //! blocks) fork as a second. The solve forks the three separator/tip
 //! right-hand-side accumulations per column, and the selected inversion forks
@@ -60,16 +60,16 @@
 //! diagonal recovery. Each subtask owns a dedicated [`PackBuffer`] lane so
 //! the packed micro-kernels never contend for workspace. An idle worker can
 //! therefore steal *inside* a single huge partition — the skewed
-//! 1-big/N-tiny layout that used to serialize the whole S3 fan-out now
-//! scales (see `pool_bench`'s skewed-partition scenario and the watchdogged
-//! stress test in `crates/hpc/tests/pool_stress.rs`).
+//! 1-big/N-tiny layout scales instead of serializing the whole S3 fan-out
+//! (see `pool_bench`'s skewed-partition scenario and the watchdogged stress
+//! test in `crates/hpc/tests/pool_stress.rs`).
 //!
 //! Splitting changes only *where* each block operation runs, never its
 //! operand values or kernel call sequence, so the factors, solutions and
-//! selected inverses are **bitwise identical** to the
-//! [`InteriorSchedule::Indivisible`] baseline and to a 1-thread run — pinned
-//! by the `*_bitwise_match_indivisible` tests below and by the
-//! parallel-vs-sequential session proptest in `tests/session_reuse.rs`.
+//! selected inverses are **bitwise identical** to the inline run on a
+//! 1-worker pool — pinned by the `*_bitwise_match_indivisible` and
+//! `schedules_agree_*` tests below and by the parallel-vs-sequential session
+//! proptest in `tests/session_reuse.rs`.
 //!
 //! # The reduced system
 //!
@@ -80,8 +80,7 @@
 //!   order is a function of `P` alone, so the reduced matrix is bitwise
 //!   independent of the worker count.
 //! * **Reduced-system factorization** runs through the same column loop as
-//!   [`pobtaf`]: under [`InteriorSchedule::Stealable`] the right-looking
-//!   trailing updates of each reduced block column (the `trsm` pair, then the
+//!   [`pobtaf`]: the right-looking trailing updates of each reduced block column (the `trsm` pair, then the
 //!   `syrk`/`gemm`/`syrk` Schur and arrow updates) fork as join groups with
 //!   per-subtask [`PackBuffer`] lanes, exactly like the stealable interiors.
 //!   Small blocks, a single reduced column or a 1-thread pool run the column
@@ -105,12 +104,16 @@
 //! Every partition task owns three [`PackBuffer`] lanes, one per subtask of
 //! its widest join group, so the packed micro-kernels in `dalia_la::blas`
 //! never contend for workspace; the lanes are reused across all block
-//! columns of that partition. One function, `Lanes::new`, decides for every
-//! column loop whether its steps fork or run inline.
+//! columns of that partition. The caller's [`PackBuffer`] carries the
+//! reduced-system solve and selected inversion of [`d_pobtas`] and
+//! [`d_pobtasi`], and the whole pass when the factor has one partition. One
+//! function, `Lanes::new`, decides for every column loop whether its steps
+//! fork or run inline, from what it can observe: the block size, the number
+//! of block columns and the pool width.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
 use crate::partition::Partitioning;
-use crate::sequential::{pobtaf, pobtas, pobtasi, BtaSelectedInverse};
+use crate::sequential::{pobtaf, pobtas_with, pobtasi_with, BtaSelectedInverse};
 use crate::SerinvError;
 use dalia_la::blas::{self, PackBuffer, Side, Trans, Triangle};
 use dalia_la::{chol, Matrix};
@@ -222,27 +225,10 @@ impl DistBtaCholesky {
     }
 }
 
-/// How [`d_pobtaf`] schedules the interior elimination of each partition.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InteriorSchedule {
-    /// Split every interior block column into `join`-structured pool
-    /// subtasks (independent `trsm` solves, then Schur accumulation and
-    /// next-column propagation), each with a dedicated [`PackBuffer`] lane —
-    /// idle workers can steal work *inside* a single large partition. The
-    /// default; bitwise identical to [`InteriorSchedule::Indivisible`].
-    #[default]
-    Stealable,
-    /// Eliminate each partition interior as one sequential task (the pool v1
-    /// behaviour). Kept as the measurable baseline for `pool_bench`'s
-    /// skewed-partition scenario and as the no-overhead path for callers
-    /// that pin one partition per worker.
-    Indivisible,
-}
-
 /// Below this diagonal block size the column subtasks are too small to repay
 /// the fork overhead (a `trsm` at `b = 48` is a few microseconds), so the
-/// stealable schedule runs the column steps inline. Scheduling only — results
-/// are bitwise identical either way.
+/// column steps run inline. Scheduling only — results are bitwise identical
+/// either way.
 pub(crate) const STEAL_MIN_BLOCK: usize = 48;
 
 /// Pack-buffer lanes of one column loop: one per subtask of a forked join
@@ -260,22 +246,12 @@ pub(crate) enum Lanes<'a> {
 }
 
 impl<'a> Lanes<'a> {
-    /// The fork decision of every BTA column loop: fork under
-    /// [`InteriorSchedule::Stealable`] when the blocks reach
-    /// `STEAL_MIN_BLOCK`, the loop has more than one block column to overlap
-    /// and the pool has more than one worker; otherwise run inline on the
-    /// first lane.
-    pub(crate) fn new(
-        lanes: &'a mut PackLanes,
-        sched: InteriorSchedule,
-        b: usize,
-        columns: usize,
-    ) -> Self {
-        if sched == InteriorSchedule::Stealable
-            && b >= STEAL_MIN_BLOCK
-            && columns > 1
-            && dalia_pool::current_num_threads() > 1
-        {
+    /// The fork decision of every BTA column loop: fork when the blocks
+    /// reach `STEAL_MIN_BLOCK`, the loop has more than one block column to
+    /// overlap and the pool has more than one worker; otherwise run inline
+    /// on the first lane.
+    pub(crate) fn new(lanes: &'a mut PackLanes, b: usize, columns: usize) -> Self {
+        if b >= STEAL_MIN_BLOCK && columns > 1 && dalia_pool::current_num_threads() > 1 {
             Lanes::Forked(lanes)
         } else {
             Lanes::Inline(&mut lanes[0])
@@ -364,7 +340,7 @@ fn divide_lt<'a>(l: &'a Matrix, x: Option<&'a mut Matrix>) -> impl FnOnce(&mut P
 /// `C_{i+1} −= C_i B_iᵀ` and `W_{i+1} = −W_i B_iᵀ`; `T −= C_i C_iᵀ` and the
 /// separator updates) a second. Inline and forked `lanes` issue the same
 /// kernel calls on the same operands, so the factor is bitwise independent
-/// of the schedule and of the worker count.
+/// of the worker count.
 pub(crate) fn factor_columns(
     m: &mut BtaMatrix,
     start: usize,
@@ -443,7 +419,6 @@ fn factor_interior(
     a: &BtaMatrix,
     part: &Partitioning,
     p: usize,
-    sched: InteriorSchedule,
 ) -> Result<(PartitionFactor, SchurContribution), SerinvError> {
     let (s, e) = part.interior(p);
     let (len, b, aa) = (e - s, a.b, a.a);
@@ -477,7 +452,7 @@ fn factor_interior(
     };
     let seps = Separators { first: s, left: &mut left, right: right.as_mut(), schur: &mut schur };
     let mut pack_lanes = PackLanes::default();
-    factor_columns(&mut blocks, 0, &mut Lanes::new(&mut pack_lanes, sched, b, len), Some(seps))?;
+    factor_columns(&mut blocks, 0, &mut Lanes::new(&mut pack_lanes, b, len), Some(seps))?;
     Ok((PartitionFactor { p, interior: (s, e), blocks, left, right }, schur))
 }
 
@@ -543,24 +518,13 @@ fn assemble_reduced(
     reduced
 }
 
-/// Distributed BTA Cholesky factorization (`d_pobtaf`) with stealable
-/// partition interiors ([`InteriorSchedule::Stealable`]).
+/// Distributed BTA Cholesky factorization (`d_pobtaf`): the column loop on
+/// every partition interior in parallel, the Schur assembly onto the
+/// separators and tip, then the column loop on the reduced system. On a
+/// multi-worker pool with blocks of at least 48 the column steps fork as
+/// stealable join groups; the factor is bitwise identical at any worker
+/// count. One partition is the sequential [`pobtaf`].
 pub fn d_pobtaf(a: &BtaMatrix, part: &Partitioning) -> Result<DistBtaCholesky, SerinvError> {
-    d_pobtaf_scheduled(a, part, InteriorSchedule::Stealable)
-}
-
-/// [`d_pobtaf`] with an explicit [`InteriorSchedule`].
-///
-/// The two schedules produce **bitwise identical** factors; `Indivisible`
-/// exists as the measurable pool v1 baseline (one sequential task per
-/// partition interior, reduced-system column steps inline) for `pool_bench`
-/// and the stress tests. The Schur assembly is the same linear sum under both
-/// schedules.
-pub fn d_pobtaf_scheduled(
-    a: &BtaMatrix,
-    part: &Partitioning,
-    sched: InteriorSchedule,
-) -> Result<DistBtaCholesky, SerinvError> {
     assert_eq!(part.num_blocks(), a.n, "partitioning does not match the matrix");
     let num_parts = part.num_partitions();
     if num_parts == 1 {
@@ -568,12 +532,12 @@ pub fn d_pobtaf_scheduled(
     }
     let results: Result<Vec<_>, SerinvError> = (0..num_parts)
         .into_par_iter()
-        .map(|p| factor_interior(a, part, p, sched))
+        .map(|p| factor_interior(a, part, p))
         .collect();
     let (partitions, mut contribs): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
     let mut reduced = assemble_reduced(a, part, &partitions, &mut contribs);
     let mut pack_lanes = PackLanes::default();
-    let mut lanes = Lanes::new(&mut pack_lanes, sched, a.b, num_parts - 1);
+    let mut lanes = Lanes::new(&mut pack_lanes, a.b, num_parts - 1);
     factor_columns(&mut reduced, 0, &mut lanes, None)?;
     Ok(DistBtaCholesky::Partitioned {
         structure: (a.n, a.b, a.a),
@@ -708,7 +672,7 @@ impl<'a> Span<'a> {
     /// from the span's rows of `rhs`, given the solutions of the separators
     /// and the tip. The separator and tip back-couplings accumulate in a
     /// buffer of their own so they can fork against the carried sub-diagonal
-    /// term; both schedules run the same sequence.
+    /// term; inline and forked lanes run the same sequence.
     pub(crate) fn backward(
         &self,
         rhs: &Matrix,
@@ -846,28 +810,24 @@ impl<'a> Span<'a> {
     }
 }
 
-/// Distributed BTA triangular solve (`d_pobtas`, the paper's `PPOBTAS`) with
-/// stealable partition interiors ([`InteriorSchedule::Stealable`]).
+/// Distributed BTA triangular solve (`d_pobtas`, the paper's `PPOBTAS`).
 ///
 /// Solves `A X = B` for the dense right-hand side `rhs` (overwritten with the
-/// solution), given a distributed factorization.
-pub fn d_pobtas(factor: &DistBtaCholesky, rhs: &mut Matrix) {
-    d_pobtas_scheduled(factor, rhs, InteriorSchedule::Stealable)
-}
-
-/// [`d_pobtas`] with an explicit [`InteriorSchedule`].
-///
-/// With [`InteriorSchedule::Stealable`] every interior column forks its
-/// independent subtasks as pool join groups: in the forward sweep the three
-/// separator/tip right-hand-side accumulations (left fill `W`, right
+/// solution), given a distributed factorization. Every interior column forks
+/// its independent subtasks as pool join groups: in the forward sweep the
+/// three separator/tip right-hand-side accumulations (left fill `W`, right
 /// coupling, arrow panel) run after the column's `trsm`; in the backward
 /// sweep the carried sub-diagonal term and the external separator/tip
-/// back-couplings fork against each other. The two schedules execute the
-/// same kernel calls on the same operands, so the solutions are **bitwise
-/// identical** — the fork changes scheduling only.
-pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: InteriorSchedule) {
+/// back-couplings fork against each other. Inline and forked lanes execute
+/// the same kernel calls on the same operands, so the solution is **bitwise
+/// identical** at any worker count.
+///
+/// `pack` is the caller's kernel workspace: the reduced-system solve runs on
+/// it, and so does the whole solve of a one-partition factor
+/// ([`pobtas_with`]).
+pub fn d_pobtas(factor: &DistBtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffer) {
     match factor {
-        DistBtaCholesky::Sequential(f) => pobtas(f, rhs),
+        DistBtaCholesky::Sequential(f) => pobtas_with(f, rhs, pack),
         DistBtaCholesky::Partitioned { structure, partitioning, partitions, reduced } => {
             let (n, b, a) = *structure;
             assert_eq!(rhs.nrows(), n * b + a, "d_pobtas: rhs dimension mismatch");
@@ -881,7 +841,7 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                 .par_iter()
                 .map(|pf| {
                     let mut pack_lanes = PackLanes::default();
-                    pf.span().forward(shared, &mut Lanes::new(&mut pack_lanes, sched, b, pf.blocks.n))
+                    pf.span().forward(shared, &mut Lanes::new(&mut pack_lanes, b, pf.blocks.n))
                 })
                 .collect();
 
@@ -903,7 +863,7 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                 reduced_rhs.add_block(n_red * b, 0, -1.0, &fw.tip);
             }
 
-            pobtas(reduced, &mut reduced_rhs);
+            pobtas_with(reduced, &mut reduced_rhs, pack);
 
             // The separator and tip solutions: written back, and read by
             // every interior's backward sweep (one extraction per block).
@@ -924,7 +884,7 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
                     let x_left = (pf.p > 0).then(|| &sep_x[pf.p - 1]);
                     let x_right = sep_x.get(pf.p);
                     let mut pack_lanes = PackLanes::default();
-                    let mut lanes = Lanes::new(&mut pack_lanes, sched, b, pf.blocks.n);
+                    let mut lanes = Lanes::new(&mut pack_lanes, b, pf.blocks.n);
                     pf.span().backward(shared, x_left, x_right, tip_x.as_ref(), &mut lanes)
                 })
                 .collect();
@@ -936,28 +896,26 @@ pub fn d_pobtas_scheduled(factor: &DistBtaCholesky, rhs: &mut Matrix, sched: Int
 }
 
 /// Distributed selected inversion (`d_pobtasi`): the selected inverse blocks
-/// on the original BTA pattern, matching [`pobtasi`] exactly. Uses stealable
-/// partition interiors ([`InteriorSchedule::Stealable`]).
-pub fn d_pobtasi(factor: &DistBtaCholesky) -> BtaSelectedInverse {
-    d_pobtasi_scheduled(factor, InteriorSchedule::Stealable)
-}
-
-/// [`d_pobtasi`] with an explicit [`InteriorSchedule`].
+/// on the original BTA pattern, matching [`pobtasi`](crate::pobtasi) exactly.
 ///
-/// With [`InteriorSchedule::Stealable`] every interior column of the backward
-/// selected-inverse pass forks its three independent Σ products — `Σ_{ls,j}`
-/// (left separator column), `Σ_{j+1,j}` / `Σ_{rs,j}` (below-diagonal), and
-/// `Σ_{T,j}` (arrow row) — as one pool join group with per-lane
-/// `PackBuffer`s; `L_jj⁻¹` and the diagonal update stay on the critical path.
-/// Both schedules execute the same kernel calls on the same operands, so the
-/// selected inverse is **bitwise identical** across schedules.
-pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) -> BtaSelectedInverse {
+/// Every interior column of the backward selected-inverse pass forks its
+/// three independent Σ products — `Σ_{ls,j}` (left separator column),
+/// `Σ_{j+1,j}` / `Σ_{rs,j}` (below-diagonal), and `Σ_{T,j}` (arrow row) — as
+/// one pool join group with per-lane `PackBuffer`s; `L_jj⁻¹` and the
+/// diagonal update stay on the critical path. Inline and forked lanes
+/// execute the same kernel calls on the same operands, so the selected
+/// inverse is **bitwise identical** at any worker count.
+///
+/// `pack` is the caller's kernel workspace: the reduced-system selected
+/// inversion runs on it, and so does the whole inversion of a one-partition
+/// factor ([`pobtasi_with`]).
+pub fn d_pobtasi(factor: &DistBtaCholesky, pack: &mut PackBuffer) -> BtaSelectedInverse {
     match factor {
-        DistBtaCholesky::Sequential(f) => pobtasi(f),
+        DistBtaCholesky::Sequential(f) => pobtasi_with(f, pack),
         DistBtaCholesky::Partitioned { structure, partitioning, partitions, reduced } => {
             let (n, b, a) = *structure;
             let seps = partitioning.separators();
-            let red = pobtasi(reduced).blocks;
+            let red = pobtasi_with(reduced, pack).blocks;
 
             // Selected-inversion sweeps on the interiors (parallel), reading
             // the reduced blocks by reference.
@@ -975,7 +933,7 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
                         tt: &red.tip,
                     };
                     let mut pack_lanes = PackLanes::default();
-                    pf.span().selected_inverse(&sig, &mut Lanes::new(&mut pack_lanes, sched, b, pf.blocks.n))
+                    pf.span().selected_inverse(&sig, &mut Lanes::new(&mut pack_lanes, b, pf.blocks.n))
                 })
                 .collect();
 
@@ -1018,7 +976,8 @@ pub fn d_pobtasi_scheduled(factor: &DistBtaCholesky, sched: InteriorSchedule) ->
 mod tests {
     use super::*;
     use crate::sequential::pobtaf_with;
-    use crate::streaming::{pobtaf_retire_scheduled, StreamPacks};
+    use crate::sequential::{pobtas, pobtasi};
+    use crate::streaming::{pobtaf_retire, StreamPacks};
     use crate::testing::{test_matrix, test_rhs};
 
     fn check_equivalence(n: usize, b: usize, a: usize, p: usize, lb: f64) {
@@ -1032,6 +991,7 @@ mod tests {
         let m = test_matrix(n, b, a, 42);
         let seq = pobtaf(&m).unwrap();
         let dist = d_pobtaf(&m, part).unwrap();
+        let mut pack = PackBuffer::new();
 
         // Log-determinants agree.
         assert!(
@@ -1047,7 +1007,7 @@ mod tests {
         let mut rhs_seq = rhs0.clone();
         pobtas(&seq, &mut rhs_seq);
         let mut rhs_dist = rhs0.clone();
-        d_pobtas(&dist, &mut rhs_dist);
+        d_pobtas(&dist, &mut rhs_dist, &mut pack);
         assert!(
             rhs_seq.max_abs_diff(&rhs_dist) < 1e-8,
             "solve mismatch for P={p}: {}",
@@ -1056,7 +1016,7 @@ mod tests {
 
         // Selected inverses agree block by block.
         let sel_seq = pobtasi(&seq);
-        let sel_dist = d_pobtasi(&dist);
+        let sel_dist = d_pobtasi(&dist, &mut pack);
         for i in 0..n {
             assert!(
                 sel_seq.blocks.diag[i].max_abs_diff(&sel_dist.blocks.diag[i]) < 1e-8,
@@ -1084,7 +1044,7 @@ mod tests {
         let dense = m.to_dense();
         let x_true = test_rhs(m.dim(), 3);
         let mut x = blas::matmul(&dense, &x_true);
-        d_pobtas(&dist, &mut x);
+        d_pobtas(&dist, &mut x, &mut pack);
         assert!(x.max_abs_diff(&x_true) < 1e-8, "dense solve mismatch for P={p}");
         let want = BtaMatrix::from_dense(&chol::spd_inverse(&dense).unwrap(), n, b, a);
         let got = &sel_dist.blocks;
@@ -1196,33 +1156,29 @@ mod tests {
 
     #[test]
     fn stealable_interiors_bitwise_match_indivisible() {
-        // Blocks above STEAL_MIN_BLOCK so the stealable schedule actually
-        // forks, on a multi-worker pool so subtasks really get stolen. The
-        // two schedules (and any worker count) must agree to the last bit.
+        // Blocks above STEAL_MIN_BLOCK so the column steps actually fork, on
+        // a multi-worker pool so subtasks really get stolen. The forked run
+        // must agree to the last bit with the inline run on a 1-worker pool.
         let n = 9;
         let (b, aa) = (STEAL_MIN_BLOCK + 16, 3);
         let m = test_matrix(n, b, aa, 7);
         let part = Partitioning::from_sizes(&[6, 1, 1, 1]);
         let pool = dalia_pool::ThreadPool::new(4);
-        let stealable =
-            pool.install(|| d_pobtaf_scheduled(&m, &part, InteriorSchedule::Stealable)).unwrap();
-        let indivisible =
-            d_pobtaf_scheduled(&m, &part, InteriorSchedule::Indivisible).unwrap();
+        let stealable = pool.install(|| d_pobtaf(&m, &part)).unwrap();
+        let indivisible = dalia_pool::ThreadPool::new(1).install(|| d_pobtaf(&m, &part)).unwrap();
         assert_factors_bitwise_equal(&stealable, &indivisible, "stealable-vs-indivisible");
-        // And a second stealable run is deterministic despite stealing.
-        let again =
-            pool.install(|| d_pobtaf_scheduled(&m, &part, InteriorSchedule::Stealable)).unwrap();
+        // And a second forked run is deterministic despite stealing.
+        let again = pool.install(|| d_pobtaf(&m, &part)).unwrap();
         assert_factors_bitwise_equal(&stealable, &again, "stealable-rerun");
     }
 
-    /// Factor `m` through the forked column loop: [`pobtaf_retire_scheduled`]
+    /// Factor `m` through the forked column loop: [`pobtaf_retire`]
     /// refactorizes every column of the storage of a larger window, on
-    /// `pool`, with the stealable schedule.
+    /// `pool`.
     fn forked_pobtaf(pool: &dalia_pool::ThreadPool, m: &BtaMatrix) -> BtaCholesky {
         let mut f = pobtaf(&test_matrix(m.n + 1, m.b, m.a, 3)).unwrap();
         let mut packs = StreamPacks::new();
-        pool.install(|| pobtaf_retire_scheduled(&mut f, m, &mut packs, InteriorSchedule::Stealable))
-            .unwrap();
+        pool.install(|| pobtaf_retire(&mut f, m, &mut packs)).unwrap();
         f
     }
 
@@ -1289,7 +1245,7 @@ mod tests {
             for aa in [0, 2] {
                 let m = test_matrix(*n, b, aa, 61);
                 let (partitions, mut contribs): (Vec<_>, Vec<_>) = (0..part.num_partitions())
-                    .map(|p| factor_interior(&m, part, p, InteriorSchedule::Indivisible).unwrap())
+                    .map(|p| factor_interior(&m, part, p).unwrap())
                     .unzip();
                 let got = assemble_reduced(&m, part, &partitions, &mut contribs).to_dense();
 
@@ -1317,58 +1273,60 @@ mod tests {
     #[test]
     fn stealable_solve_and_selinv_bitwise_match_indivisible() {
         // Same contract as the factorization test: blocks above the fork
-        // cutoff on a multi-worker pool, stealable vs indivisible schedules
-        // (and reruns, and different worker counts) agree to the last bit.
+        // cutoff on a multi-worker pool, the forked run vs the inline run on
+        // a 1-worker pool (and reruns) agree to the last bit.
         let n = 9;
         let (b, aa) = (STEAL_MIN_BLOCK + 16, 3);
         let m = test_matrix(n, b, aa, 21);
         let part = Partitioning::from_sizes(&[6, 1, 1, 1]);
         let pool = dalia_pool::ThreadPool::new(4);
+        let single = dalia_pool::ThreadPool::new(1);
         let factor = pool.install(|| d_pobtaf(&m, &part)).unwrap();
+        let mut pack = PackBuffer::new();
 
         let rhs0 = test_rhs(m.dim(), 3);
         let mut steal = rhs0.clone();
-        pool.install(|| d_pobtas_scheduled(&factor, &mut steal, InteriorSchedule::Stealable));
+        pool.install(|| d_pobtas(&factor, &mut steal, &mut pack));
         let mut indiv = rhs0.clone();
-        d_pobtas_scheduled(&factor, &mut indiv, InteriorSchedule::Indivisible);
+        single.install(|| d_pobtas(&factor, &mut indiv, &mut pack));
         assert_eq!(steal.max_abs_diff(&indiv), 0.0, "solve: stealable vs indivisible");
         let mut again = rhs0.clone();
-        pool.install(|| d_pobtas_scheduled(&factor, &mut again, InteriorSchedule::Stealable));
+        pool.install(|| d_pobtas(&factor, &mut again, &mut pack));
         assert_eq!(steal.max_abs_diff(&again), 0.0, "solve: stealable rerun");
         let mut one = rhs0.clone();
-        dalia_pool::ThreadPool::new(1)
-            .install(|| d_pobtas_scheduled(&factor, &mut one, InteriorSchedule::Stealable));
+        single.install(|| d_pobtas(&factor, &mut one, &mut PackBuffer::new()));
         assert_eq!(steal.max_abs_diff(&one), 0.0, "solve: 1-thread vs 4-thread");
 
-        let sel_steal = pool.install(|| d_pobtasi_scheduled(&factor, InteriorSchedule::Stealable));
-        let sel_indiv = d_pobtasi_scheduled(&factor, InteriorSchedule::Indivisible);
+        let sel_steal = pool.install(|| d_pobtasi(&factor, &mut pack));
+        let sel_indiv = single.install(|| d_pobtasi(&factor, &mut pack));
         assert_selinv_bitwise_equal(&sel_steal, &sel_indiv, "selinv: stealable vs indivisible");
-        let sel_again = pool.install(|| d_pobtasi_scheduled(&factor, InteriorSchedule::Stealable));
+        let sel_again = pool.install(|| d_pobtasi(&factor, &mut pack));
         assert_selinv_bitwise_equal(&sel_steal, &sel_again, "selinv: stealable rerun");
     }
 
-    /// Full-pipeline schedule parity on a given explicit layout: factor,
-    /// solve and selected inverse must be bitwise identical across schedules
-    /// and numerically match the sequential pipeline.
+    /// Full-pipeline parity on a given explicit layout: the forked factor,
+    /// solve and selected inverse on a 4-worker pool must be bitwise
+    /// identical to the inline run on a 1-worker pool and numerically match
+    /// the sequential pipeline.
     fn check_schedules_agree(n: usize, b: usize, aa: usize, sizes: &[usize], tag: &str) {
         let m = test_matrix(n, b, aa, 5);
         let part = Partitioning::from_sizes(sizes);
         let pool = dalia_pool::ThreadPool::new(4);
-        let fs = pool
-            .install(|| d_pobtaf_scheduled(&m, &part, InteriorSchedule::Stealable))
-            .unwrap();
-        let fi = d_pobtaf_scheduled(&m, &part, InteriorSchedule::Indivisible).unwrap();
+        let single = dalia_pool::ThreadPool::new(1);
+        let mut pack = PackBuffer::new();
+        let fs = pool.install(|| d_pobtaf(&m, &part)).unwrap();
+        let fi = single.install(|| d_pobtaf(&m, &part)).unwrap();
         assert_factors_bitwise_equal(&fs, &fi, tag);
 
         let rhs0 = test_rhs(m.dim(), 2);
         let mut xs = rhs0.clone();
-        pool.install(|| d_pobtas_scheduled(&fs, &mut xs, InteriorSchedule::Stealable));
+        pool.install(|| d_pobtas(&fs, &mut xs, &mut pack));
         let mut xi = rhs0.clone();
-        d_pobtas_scheduled(&fi, &mut xi, InteriorSchedule::Indivisible);
+        single.install(|| d_pobtas(&fi, &mut xi, &mut pack));
         assert_eq!(xs.max_abs_diff(&xi), 0.0, "{tag}: solve schedules");
 
-        let ss = pool.install(|| d_pobtasi_scheduled(&fs, InteriorSchedule::Stealable));
-        let si = d_pobtasi_scheduled(&fi, InteriorSchedule::Indivisible);
+        let ss = pool.install(|| d_pobtasi(&fs, &mut pack));
+        let si = single.install(|| d_pobtasi(&fi, &mut pack));
         assert_selinv_bitwise_equal(&ss, &si, tag);
 
         let seq = pobtaf(&m).unwrap();
@@ -1401,32 +1359,9 @@ mod tests {
     }
 
     #[test]
-    fn schedules_agree_on_one_thread() {
-        // On a 1-thread pool the stealable schedule never forks; pin that
-        // the fallback path is the same computation.
-        let m = test_matrix(8, STEAL_MIN_BLOCK + 16, 2, 5);
-        let part = Partitioning::from_sizes(&[5, 1, 1, 1]);
-        let pool = dalia_pool::ThreadPool::new(1);
-        let fs = pool
-            .install(|| d_pobtaf_scheduled(&m, &part, InteriorSchedule::Stealable))
-            .unwrap();
-        let fi = d_pobtaf_scheduled(&m, &part, InteriorSchedule::Indivisible).unwrap();
-        assert_factors_bitwise_equal(&fs, &fi, "1-thread");
-        let rhs0 = test_rhs(m.dim(), 2);
-        let mut xs = rhs0.clone();
-        pool.install(|| d_pobtas_scheduled(&fs, &mut xs, InteriorSchedule::Stealable));
-        let mut xi = rhs0.clone();
-        d_pobtas_scheduled(&fi, &mut xi, InteriorSchedule::Indivisible);
-        assert_eq!(xs.max_abs_diff(&xi), 0.0, "1-thread: solve schedules");
-        let ss = pool.install(|| d_pobtasi_scheduled(&fs, InteriorSchedule::Stealable));
-        let si = d_pobtasi_scheduled(&fi, InteriorSchedule::Indivisible);
-        assert_selinv_bitwise_equal(&ss, &si, "1-thread");
-    }
-
-    #[test]
     fn skewed_partitioning_matches_sequential() {
-        // A deliberately imbalanced 1-big/N-tiny layout (the shape the
-        // stealable schedule exists for) still reproduces the sequential
+        // A deliberately imbalanced 1-big/N-tiny layout (the shape stealable
+        // interiors exist for) still reproduces the sequential
         // factorization's quantities.
         let (n, b, aa) = (12, 3, 2);
         let m = test_matrix(n, b, aa, 99);
@@ -1444,10 +1379,11 @@ mod tests {
         let mut rhs_seq = rhs0.clone();
         pobtas(&seq, &mut rhs_seq);
         let mut rhs_dist = rhs0.clone();
-        d_pobtas(&dist, &mut rhs_dist);
+        let mut pack = PackBuffer::new();
+        d_pobtas(&dist, &mut rhs_dist, &mut pack);
         assert!(rhs_seq.max_abs_diff(&rhs_dist) < 1e-8, "skewed solve mismatch");
         let sel_seq = pobtasi(&seq);
-        let sel_dist = d_pobtasi(&dist);
+        let sel_dist = d_pobtasi(&dist, &mut pack);
         for i in 0..n {
             assert!(
                 sel_seq.blocks.diag[i].max_abs_diff(&sel_dist.blocks.diag[i]) < 1e-8,

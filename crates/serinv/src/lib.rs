@@ -13,10 +13,11 @@
 //! * [`distributed`] — `d_pobtaf` / `d_pobtas` / `d_pobtasi`, the
 //!   nested-dissection partitioned variants executed in parallel over
 //!   partitions (the in-process analogue of the paper's multi-GPU scheme),
-//!   and the one loop per phase that every BTA routine runs,
-//! * [`streaming`] — `pobtaf_extend_scheduled` / `pobtaf_retire_scheduled`,
-//!   incremental trailing-block refactorization for sliding temporal
-//!   windows,
+//!   and the one loop per phase that every BTA routine runs; `d_pobtas` and
+//!   `d_pobtasi` take the caller's `PackBuffer`, like `pobtas_with` and
+//!   `pobtasi_with`,
+//! * [`streaming`] — `pobtaf_extend` / `pobtaf_retire`, incremental
+//!   trailing-block refactorization for sliding temporal windows,
 //! * [`testing`] — deterministic SPD test matrices.
 
 pub mod bta;
@@ -27,15 +28,14 @@ pub mod streaming;
 pub mod testing;
 
 pub use bta::{BtaCholesky, BtaMatrix};
-pub use distributed::{
-    d_pobtaf, d_pobtaf_scheduled, d_pobtas, d_pobtas_scheduled, d_pobtasi, d_pobtasi_scheduled,
-    DistBtaCholesky, InteriorSchedule, PartitionFactor,
-};
+pub use distributed::{d_pobtaf, d_pobtas, d_pobtasi, DistBtaCholesky, PartitionFactor};
 pub use partition::Partitioning;
 pub use sequential::{
     pobtaf, pobtaf_with, pobtas, pobtas_lt, pobtas_with, pobtasi, pobtasi_with, BtaSelectedInverse,
 };
-pub use streaming::{pobtaf_extend_scheduled, pobtaf_retire_scheduled, StreamPacks};
+#[doc(hidden)]
+pub use streaming::{pobtaf_extend_scheduled, InteriorSchedule};
+pub use streaming::{pobtaf_extend, pobtaf_retire, StreamPacks};
 
 /// Errors produced by the structured solvers.
 #[derive(Clone, Debug, PartialEq)]

@@ -32,15 +32,15 @@
 //!    `L_diag`/`L_sub` blocks (`O(n · a · b²)` with `a ≪ b`).
 //! 3. **The tip.** It accumulates one Schur update per column.
 //!
-//! [`pobtaf_extend_scheduled`] performs exactly the kernel calls the cold
+//! [`pobtaf_extend`] performs exactly the kernel calls the cold
 //! factorization [`crate::pobtaf`] would issue for the recomputed regions,
 //! with bitwise-identical operands, so the extended factor is **bitwise
 //! identical** to a cold full factorization of the new window — at any
-//! thread count, since both run the same column loop and its forked schedule
-//! only moves disjoint-output subtasks between workers. Cost is
+//! thread count, since both run the same column loop and its forked join
+//! groups only move disjoint-output subtasks between workers. Cost is
 //! `O((k + 1) b³ + n a b²)` against the cold `O(n b³)`.
 //!
-//! [`pobtaf_retire_scheduled`] handles the other edge of the window:
+//! [`pobtaf_retire`] handles the other edge of the window:
 //! dropping leading block columns invalidates *every* factor column (column
 //! 0's Schur complement cascades through the entire elimination), so
 //! retirement is a full refactorization that recycles the factor's storage
@@ -48,12 +48,12 @@
 //! batches while appending incrementally.
 
 use crate::bta::{BtaCholesky, BtaMatrix};
-use crate::distributed::{factor_columns, InteriorSchedule, Lanes, PackLanes};
+use crate::distributed::{factor_columns, Lanes, PackLanes};
 use crate::SerinvError;
 use dalia_la::blas::{self, Side, Trans, Triangle};
 
 /// Reusable pack-buffer lanes for the streaming kernels: one per concurrent
-/// subtask of the forked column schedule, so a warm streaming session
+/// subtask of a forked column step, so a warm streaming session
 /// allocates nothing per window update.
 pub struct StreamPacks {
     lanes: PackLanes,
@@ -76,6 +76,23 @@ impl Default for StreamPacks {
     }
 }
 
+// One-variant enum kept only because `perfbench/` calls it; goes with the next benchmark change.
+#[doc(hidden)]
+pub enum InteriorSchedule {
+    Stealable,
+}
+
+// Forwarder kept only because `perfbench/` calls it; goes with the next benchmark change.
+#[doc(hidden)]
+pub fn pobtaf_extend_scheduled(
+    factor: &mut BtaCholesky,
+    a_new: &BtaMatrix,
+    packs: &mut StreamPacks,
+    _sched: InteriorSchedule,
+) -> Result<(), SerinvError> {
+    pobtaf_extend(factor, a_new, packs)
+}
+
 /// Extend a BTA Cholesky factor in place to a window that grew by trailing
 /// block columns, re-factorizing only the affected region.
 ///
@@ -88,15 +105,14 @@ impl Default for StreamPacks {
 /// boundary block changes). The arrow row, tip, and everything from column
 /// `n_old − 1` may differ arbitrarily.
 ///
-/// `packs` carries warm pack lanes across updates. The result is bitwise
-/// identical to `pobtaf(a_new)` under either [`InteriorSchedule`];
-/// `Stealable` forks the disjoint-output subtasks of each recomputed column
-/// onto the pool, as the reduced system of [`crate::d_pobtaf`] does.
-pub fn pobtaf_extend_scheduled(
+/// `packs` carries warm pack lanes across updates. On a multi-worker pool
+/// the disjoint-output subtasks of each recomputed column fork onto the
+/// pool, as the reduced system of [`crate::d_pobtaf`] does; the result is
+/// bitwise identical to `pobtaf(a_new)` either way.
+pub fn pobtaf_extend(
     factor: &mut BtaCholesky,
     a_new: &BtaMatrix,
     packs: &mut StreamPacks,
-    sched: InteriorSchedule,
 ) -> Result<(), SerinvError> {
     let m = &mut factor.blocks;
     assert_eq!(
@@ -110,7 +126,7 @@ pub fn pobtaf_extend_scheduled(
     assert!(n_new > n_old, "pobtaf_extend: the new window must add at least one block column");
     let c0 = n_old - 1;
     let has_arrow = m.a > 0;
-    let mut lanes = Lanes::new(&mut packs.lanes, sched, m.b, n_new - c0);
+    let mut lanes = Lanes::new(&mut packs.lanes, m.b, n_new - c0);
 
     // Grow the factor storage and overwrite the recomputed region with the
     // newly assembled values; columns 0 .. c0 keep their factor values.
@@ -199,15 +215,13 @@ pub fn pobtaf_extend_scheduled(
 /// shortcut and this is a full refactorization. It exists so a streaming
 /// session keeps one factor allocation (and one set of pack lanes) alive
 /// across the whole append/retire lifecycle, and so retirement cost can be
-/// amortized over many cheap [`pobtaf_extend_scheduled`] updates.
+/// amortized over many cheap [`pobtaf_extend`] updates.
 ///
-/// The result is bitwise identical to `pobtaf(a_new)` under either
-/// [`InteriorSchedule`].
-pub fn pobtaf_retire_scheduled(
+/// The result is bitwise identical to `pobtaf(a_new)` at any worker count.
+pub fn pobtaf_retire(
     factor: &mut BtaCholesky,
     a_new: &BtaMatrix,
     packs: &mut StreamPacks,
-    sched: InteriorSchedule,
 ) -> Result<(), SerinvError> {
     let m = &mut factor.blocks;
     assert_eq!(
@@ -218,7 +232,7 @@ pub fn pobtaf_retire_scheduled(
     assert!(
         a_new.n <= m.n,
         "pobtaf_retire: the new window must not be larger than the factor \
-         (use pobtaf_extend_scheduled)"
+         (use pobtaf_extend)"
     );
     // Shrink the storage to the new window, keeping the allocations of the
     // surviving blocks, then overwrite with the new assembled values.
@@ -228,7 +242,7 @@ pub fn pobtaf_retire_scheduled(
     m.n = a_new.n;
     m.copy_values_from(a_new);
 
-    factor_columns(m, 0, &mut Lanes::new(&mut packs.lanes, sched, a_new.b, a_new.n), None)
+    factor_columns(m, 0, &mut Lanes::new(&mut packs.lanes, a_new.b, a_new.n), None)
 }
 
 #[cfg(test)]
@@ -289,8 +303,7 @@ mod tests {
             let a_new = test_matrix(n_new, b, a, 11);
             let a_old = old_window_of(&a_new, n_old);
             let mut f = pobtaf(&a_old).unwrap();
-            pobtaf_extend_scheduled(&mut f, &a_new, &mut packs, InteriorSchedule::Stealable)
-                .unwrap();
+            pobtaf_extend(&mut f, &a_new, &mut packs).unwrap();
             let cold = pobtaf(&a_new).unwrap();
             assert_factor_bits_eq(&f, &cold, &format!("extend {n_old}->{n_new} b={b} a={a}"));
         }
@@ -320,7 +333,7 @@ mod tests {
         let mut packs = StreamPacks::new();
         for n in 4..=8 {
             let w = window_at(n);
-            pobtaf_extend_scheduled(&mut f, &w, &mut packs, InteriorSchedule::Stealable).unwrap();
+            pobtaf_extend(&mut f, &w, &mut packs).unwrap();
             let cold = pobtaf(&w).unwrap();
             assert_factor_bits_eq(&f, &cold, &format!("k=1 extend to n={n}"));
         }
@@ -332,7 +345,7 @@ mod tests {
         let small = test_matrix(4, 3, 2, 57);
         let mut f = pobtaf(&big).unwrap();
         let mut packs = StreamPacks::new();
-        pobtaf_retire_scheduled(&mut f, &small, &mut packs, InteriorSchedule::Stealable).unwrap();
+        pobtaf_retire(&mut f, &small, &mut packs).unwrap();
         let cold = pobtaf(&small).unwrap();
         assert_factor_bits_eq(&f, &cold, "retire 7->4");
         // And the retired factor can be extended again (full lifecycle).
@@ -347,15 +360,14 @@ mod tests {
         // Undo the boundary delta convention: here the "old" boundary block
         // equals the new assembly's, which pobtaf_extend also supports (it
         // overwrites column c0 from a_new regardless).
-        pobtaf_extend_scheduled(&mut f, &a_new, &mut packs, InteriorSchedule::Stealable).unwrap();
+        pobtaf_extend(&mut f, &a_new, &mut packs).unwrap();
         let cold2 = pobtaf(&a_new).unwrap();
         assert_factor_bits_eq(&f, &cold2, "extend after retire 4->6");
     }
 
     #[test]
     fn scheduled_extend_is_bitwise_identical_across_thread_counts() {
-        // Blocks above the fork cutoff so the stealable schedule actually
-        // splits; 1-thread and 4-thread results must agree bitwise with the
+        // Blocks above the fork cutoff so the column steps actually split; 1-thread and 4-thread results must agree bitwise with the
         // sequential cold factorization.
         let (n_old, n_new, b, a) = (3, 5, STEAL_MIN_BLOCK, 4);
         let a_new = test_matrix(n_new, b, a, 13);
@@ -366,7 +378,7 @@ mod tests {
             let mut f = pobtaf(&a_old).unwrap();
             pool.install(|| {
                 let mut packs = StreamPacks::new();
-                pobtaf_extend_scheduled(&mut f, &a_new, &mut packs, InteriorSchedule::Stealable)
+                pobtaf_extend(&mut f, &a_new, &mut packs)
             })
             .unwrap();
             assert_factor_bits_eq(&f, &cold, &format!("threads={threads}"));
@@ -380,7 +392,7 @@ mod tests {
         let mut f = pobtaf(&a_old).unwrap();
         let before: Vec<*const f64> = f.blocks.diag.iter().map(|m| m.as_slice().as_ptr()).collect();
         let mut packs = StreamPacks::new();
-        pobtaf_extend_scheduled(&mut f, &a_new, &mut packs, InteriorSchedule::Stealable).unwrap();
+        pobtaf_extend(&mut f, &a_new, &mut packs).unwrap();
         for (i, &p) in before.iter().enumerate() {
             assert_eq!(p, f.blocks.diag[i].as_slice().as_ptr(), "diag[{i}] was reallocated");
         }

@@ -1,15 +1,17 @@
-//! Allocation-count pins: the distributed solve / selected-inverse passes,
-//! the warm sequential factorization, and the warm sequential solve and
-//! selected inversion.
+//! Allocation-count pins: the distributed solve / selected-inverse passes on
+//! a warm caller's pack, partitioned and with one partition, the warm
+//! sequential factorization, and the warm sequential solve and selected
+//! inversion.
 //!
 //! `d_pobtas` / `d_pobtasi` sit in the per-θ hot loop, so their reduced-system
 //! coupling blocks must be shared across partitions, not cloned per partition
 //! per call (the regression this test pins): the solve hoists one extraction
 //! per separator (`sep_x` / tip) out of the parallel region, and the selected
 //! inverse borrows the `sig_*` views straight from the reduced selected
-//! inverse. This test counts heap allocations around steady-state calls on a
-//! 1-thread pool (deterministic scheduling) and fails if the counts creep
-//! back up to per-partition-clone territory.
+//! inverse. The reduced-system pass runs on the caller's pack, so a warm
+//! pack costs it no buffer growth. This test counts heap allocations around
+//! steady-state calls on a 1-thread pool (deterministic scheduling) and
+//! fails if the counts creep back up to per-partition-clone territory.
 
 // A counting global allocator requires implementing the unsafe `GlobalAlloc`
 // trait; the implementation only bumps a counter and delegates to `System`.
@@ -19,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use dalia_la::PackBuffer;
 use serinv::testing::{test_matrix, test_rhs};
 use serinv::{d_pobtaf, d_pobtas, d_pobtasi, Partitioning};
 
@@ -70,21 +73,22 @@ fn solve_and_selinv_do_not_clone_reduced_blocks_per_partition() {
     let rhs0 = test_rhs(m.dim(), 4);
 
     // Warm up once (lazy pool / pack structures), then measure steady state.
+    let mut pack = PackBuffer::new();
     let mut rhs = rhs0.clone();
-    pool.install(|| d_pobtas(&factor, &mut rhs));
-    pool.install(|| d_pobtasi(&factor));
+    pool.install(|| d_pobtas(&factor, &mut rhs, &mut pack));
+    pool.install(|| d_pobtasi(&factor, &mut pack));
 
     let mut rhs_a = rhs0.clone();
-    let solve_allocs = allocs_during(|| pool.install(|| d_pobtas(&factor, &mut rhs_a)));
+    let solve_allocs = allocs_during(|| pool.install(|| d_pobtas(&factor, &mut rhs_a, &mut pack)));
     let selinv_allocs = allocs_during(|| {
-        let _sel = pool.install(|| d_pobtasi(&factor));
+        let _sel = pool.install(|| d_pobtasi(&factor, &mut pack));
     });
 
     // Steady-state calls are deterministic: a rerun allocates exactly as much.
     let mut rhs_b = rhs0.clone();
-    let solve_again = allocs_during(|| pool.install(|| d_pobtas(&factor, &mut rhs_b)));
+    let solve_again = allocs_during(|| pool.install(|| d_pobtas(&factor, &mut rhs_b, &mut pack)));
     let selinv_again = allocs_during(|| {
-        let _sel = pool.install(|| d_pobtasi(&factor));
+        let _sel = pool.install(|| d_pobtasi(&factor, &mut pack));
     });
     assert_eq!(solve_allocs, solve_again, "d_pobtas allocation count is nondeterministic");
     assert_eq!(selinv_allocs, selinv_again, "d_pobtasi allocation count is nondeterministic");
@@ -110,6 +114,34 @@ fn solve_and_selinv_do_not_clone_reduced_blocks_per_partition() {
 // partition blocks, so a single extra block allocation fails the pin.
 const SOLVE_ALLOC_BUDGET: usize = 63;
 const SELINV_ALLOC_BUDGET: usize = 75;
+
+#[test]
+fn one_partition_d_pobtas_and_d_pobtasi_stay_within_sequential_budget() {
+    let _serial = serial();
+    // One partition is the sequential factor: on a warm caller's pack the
+    // distributed entry points must cost what `pobtas_with` / `pobtasi_with`
+    // cost on the shape of `warm_pobtas_with_and_pobtasi_with_stay_within_budget`.
+    let (n, b, a) = (4, 64, 8);
+    let m = test_matrix(n, b, a, 19);
+    let rhs0 = test_rhs(m.dim(), 8);
+    let pool = dalia_pool::ThreadPool::new(1);
+    pool.install(|| {
+        let factor = d_pobtaf(&m, &Partitioning::even(n, 1)).expect("factorizes");
+        let mut pack = PackBuffer::new();
+        let mut x = rhs0.clone();
+        d_pobtas(&factor, &mut x, &mut pack);
+        let _warm = d_pobtasi(&factor, &mut pack);
+
+        let mut x = rhs0.clone();
+        let solve = allocs_during(|| d_pobtas(&factor, &mut x, &mut pack));
+        let selinv = allocs_during(|| {
+            let _sel = d_pobtasi(&factor, &mut pack);
+        });
+        eprintln!("warm allocations at P = 1: d_pobtas = {solve}, d_pobtasi = {selinv}");
+        assert!(solve <= POBTAS_ALLOC_BUDGET, "warm d_pobtas at P = 1 allocated {solve} times");
+        assert!(selinv <= POBTASI_ALLOC_BUDGET, "warm d_pobtasi at P = 1 allocated {selinv} times");
+    });
+}
 
 #[test]
 fn warm_pobtaf_with_allocates_nothing() {

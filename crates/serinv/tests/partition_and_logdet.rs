@@ -2,6 +2,7 @@
 //! distributed factorization agreement, exercised the way downstream crates
 //! consume `serinv` (through the re-exports, not the module internals).
 
+use dalia_la::PackBuffer;
 use serinv::{d_pobtaf, d_pobtas, pobtaf, pobtas, testing, Partitioning};
 
 #[test]
@@ -92,7 +93,7 @@ fn sequential_and_distributed_solves_agree() {
         let part = Partitioning::load_balanced(n, p, 1.6);
         let dist = d_pobtaf(&m, &part).unwrap();
         let mut x_dist = rhs.clone();
-        d_pobtas(&dist, &mut x_dist);
+        d_pobtas(&dist, &mut x_dist, &mut PackBuffer::new());
         assert!(
             x_dist.max_abs_diff(&x_seq) < 1e-8,
             "solution mismatch for P={p}: {}",

@@ -35,8 +35,9 @@ fn main() {
     println!("\ndistributed d_pobtaf (P=4, lb=1.6): {:.3} s, logdet = {:.3}",
              t0.elapsed().as_secs_f64(), dist.logdet().expect("SPD factor"));
     let mut drhs = rhs0.clone();
-    d_pobtas(&dist, &mut drhs);
-    let dselinv = d_pobtasi(&dist);
+    let mut pack = PackBuffer::new();
+    d_pobtas(&dist, &mut drhs, &mut pack);
+    let dselinv = d_pobtasi(&dist, &mut pack);
     println!("max |x_seq - x_dist| = {:.2e}", rhs.max_abs_diff(&drhs));
     let max_var_diff = selinv
         .diagonal()

@@ -67,7 +67,7 @@ pub mod prelude {
         generate_univariate_dataset, observation_grid, DatasetConfig, StreamingSource,
     };
     pub use dalia_hpc::{dalia_iteration_time, gh200, rinla_iteration_time, ModelDims as PerfModelDims};
-    pub use dalia_la::Matrix;
+    pub use dalia_la::{Matrix, PackBuffer};
     pub use dalia_mesh::{Domain, Point, TriangleMesh};
     pub use dalia_model::{
         CoregionalModel, Likelihood, ModelHyper, Observation, PredictionTarget, ThetaPrior,
@@ -75,11 +75,7 @@ pub mod prelude {
     pub use dalia_serve::{InlaService, ServeConfig, Served};
     pub use dalia_sparse::{CooMatrix, CsrMatrix, Permutation, SparseCholesky};
     pub use dalia_spde::{SpatialSpde, SpatioTemporalSpde, StHyper};
-    pub use serinv::{
-        d_pobtaf, d_pobtaf_scheduled, d_pobtas, d_pobtas_scheduled, d_pobtasi,
-        d_pobtasi_scheduled, pobtaf, pobtas, pobtasi, BtaMatrix,
-        InteriorSchedule, Partitioning,
-    };
+    pub use serinv::{d_pobtaf, d_pobtas, d_pobtasi, pobtaf, pobtas, pobtasi, BtaMatrix, Partitioning};
 }
 
 #[cfg(test)]

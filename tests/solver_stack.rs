@@ -26,7 +26,8 @@ fn model_precision_through_all_three_solver_paths() {
     let part = Partitioning::load_balanced(4, 2, 1.0);
     let f_dist = d_pobtaf(&qc_bta, &part).unwrap();
     let mut x_dist = Matrix::col_vector(&rhs);
-    d_pobtas(&f_dist, &mut x_dist);
+    let mut pack = PackBuffer::new();
+    d_pobtas(&f_dist, &mut x_dist, &mut pack);
     // General sparse.
     let f_sparse = SparseCholesky::factor(&qc_csr).unwrap();
     let x_sparse = f_sparse.solve(&rhs);
@@ -41,7 +42,7 @@ fn model_precision_through_all_three_solver_paths() {
 
     // Selected inverses give the same marginal variances.
     let v_seq = pobtasi(&f_seq).diagonal();
-    let v_dist = d_pobtasi(&f_dist).diagonal();
+    let v_dist = d_pobtasi(&f_dist, &mut pack).diagonal();
     let v_sparse = f_sparse.marginal_variances();
     for i in 0..rhs.len() {
         assert!((v_seq[i] - v_dist[i]).abs() < 1e-8);

@@ -9,12 +9,13 @@
 //!    query read-only.
 //! 2. **Throughput / latency grid**: queries-per-second and p50/p95/p99
 //!    client-observed latency for client counts {1, 2, 4, 8}, each client
-//!    issuing exact-variance predictions (one quadratic form per target
-//!    against the snapshot's kept selected inverse) back-to-back against a
-//!    4-worker `InlaService` for a fixed wall-clock budget. Requests take
-//!    tens of microseconds, so a fixed request count would end a scenario
-//!    within milliseconds and let thread start-up decide its qps.
-//! 3. **The acceptance gate**: concurrent serving (8 clients, 4 workers) must
+//!    thread calling one `InlaService` directly, back-to-back, with
+//!    exact-variance predictions (one quadratic form per target against the
+//!    snapshot's kept selected inverse) for a fixed wall-clock budget. Each
+//!    request runs on its client's thread. Requests take microseconds, so a
+//!    fixed request count would end a scenario within milliseconds and let
+//!    thread start-up decide its qps.
+//! 3. **The acceptance gate**: concurrent serving (8 client threads) must
 //!    reach **≥ 2× the throughput of one-query-at-a-time serving** (1
 //!    client). Skipped on hosts with fewer than 4 cores or when
 //!    `DALIA_BENCH_NO_ASSERT` is set; the file then records the gate as
@@ -41,9 +42,6 @@ const TARGETS_PER_REQUEST: usize = 32;
 /// Wall-clock budget of one scenario: every client issues requests
 /// back-to-back until it has passed.
 const SCENARIO_SECONDS: f64 = 1.0;
-/// Worker threads of the service's execution pool in every scenario (the
-/// gate is defined at 4 threads).
-const WORKERS: usize = 4;
 /// Concurrent clients per scenario; the gate compares the last with the first.
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -178,11 +176,9 @@ fn main() {
     );
 
     // 2. Throughput / latency grid, one service for every client count.
-    let service = InlaService::new(
-        session.snapshot(&result).expect("bench snapshot"),
-        ServeConfig { workers: WORKERS },
-    )
-    .expect("serve config");
+    let service =
+        InlaService::new(session.snapshot(&result).expect("bench snapshot"), ServeConfig::default())
+            .expect("serve config");
     let mut scenarios = Vec::new();
     println!(
         "\n{:<8} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -203,7 +199,7 @@ fn main() {
     let speedup = concurrent_qps / serial_qps;
     println!(
         "\nconcurrent serving throughput: {concurrent_qps:.0} qps at 8 clients vs \
-         one-at-a-time {serial_qps:.0} qps ({speedup:.2}x at {WORKERS} workers)"
+         one-at-a-time {serial_qps:.0} qps ({speedup:.2}x)"
     );
     let skipped = if no_assert {
         Some("DALIA_BENCH_NO_ASSERT is set".to_string())
@@ -219,8 +215,9 @@ fn main() {
     json.push_str(&format!(
         "  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"latent_dim\": {latent_dim},\n  \
          \"targets_per_request\": {TARGETS_PER_REQUEST},\n  \
-         \"scenario_seconds\": {SCENARIO_SECONDS:.1},\n  \"workers\": {WORKERS},\n  \
-         \"note\": \"exact-variance predictions against one frozen PosteriorSnapshot; the \
+         \"scenario_seconds\": {SCENARIO_SECONDS:.1},\n  \
+         \"note\": \"exact-variance predictions against one frozen PosteriorSnapshot, each \
+         run on its client thread; the \
          >=2x acceptance gate compares the 8-client record against the 1-client record \
          on a >=4-core host and is recorded as skipped elsewhere (CI regenerates and \
          uploads this file as the serve-bench artifact on every run)\",\n"
@@ -265,7 +262,7 @@ fn main() {
         None => {
             assert!(
                 speedup >= 2.0,
-                "concurrent serving at {WORKERS} workers is only {speedup:.2}x \
+                "concurrent serving at 8 clients is only {speedup:.2}x \
                  one-query-at-a-time throughput (need >= 2x)"
             );
             println!("gate: concurrent {speedup:.2}x >= 2x one-at-a-time serving — OK");

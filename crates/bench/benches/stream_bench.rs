@@ -10,10 +10,12 @@
 //! so the streamed slices are bit-identical to what a batch refit would see.
 //!
 //! Running this bench (`cargo bench -p dalia-bench --bench stream_bench`)
-//! prints a table and rewrites `BENCH_stream.json` at the repository root.
-//! CI runs it and asserts the acceptance gate: **≥ 3× amortized per-update
-//! speedup at `k = 1`** on the largest window (skipped when fewer than 4
-//! cores are available or `DALIA_BENCH_NO_ASSERT` is set).
+//! prints a table and rewrites `BENCH_stream.json` at the repository root,
+//! stamped with the host's core count and the active kernel tier. CI runs it
+//! and asserts the acceptance gate: **≥ 3× amortized per-update speedup at
+//! `k = 1`** on the largest window. The gate is skipped when fewer than 4
+//! cores are available or `DALIA_BENCH_NO_ASSERT` is set; the file then
+//! records it as `"status": "skipped"` with its reason and no speedup.
 
 use dalia_core::{InlaEngine, InlaSettings};
 use dalia_data::{observation_grid, StreamingSource};
@@ -26,6 +28,8 @@ use std::time::Instant;
 const WINDOWS: &[usize] = &[6, 10, 14];
 /// Streaming updates (each `k = 1`) measured per window size.
 const UPDATES: usize = 3;
+/// Amortized per-update speedup the largest window must reach.
+const GATE: f64 = 3.0;
 
 struct Record {
     nt: usize,
@@ -106,7 +110,14 @@ fn bench_window(mesh: &TriangleMesh, domain: &Domain, nt: usize) -> Record {
 
 fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let enforce_gate = std::env::var_os("DALIA_BENCH_NO_ASSERT").is_none() && cores >= 4;
+    let tier = dalia_la::kernel_tier().name();
+    let skipped = if std::env::var_os("DALIA_BENCH_NO_ASSERT").is_some() {
+        Some("DALIA_BENCH_NO_ASSERT is set".to_string())
+    } else if cores < 4 {
+        Some(format!("{cores} cores, the gate needs 4"))
+    } else {
+        None
+    };
 
     let domain = Domain::unit_square();
     let mesh = TriangleMesh::with_approx_nodes(domain, 36);
@@ -134,12 +145,15 @@ fn main() {
         );
     }
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"stream_bench\",\n  \
+    let mut json = format!(
+        "{{\n  \"generated_by\": \"cargo bench -p dalia-bench --bench stream_bench\",\n  \
+         \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \
          \"note\": \"amortized cost of advancing a fitted trivariate (SA1-shaped) window by one \
          time slice: StreamingWindow::append_slices(k=1) + re-snapshot, versus a full warm-started \
-         refit of the extended window; on a >=4-core host the largest window must show >=3x\",\n  \
-         \"updates_per_window\": 3,\n  \"records\": [\n",
+         refit of the extended window; the >=3x acceptance gate applies to the largest window on a \
+         >=4-core host and is recorded as skipped elsewhere (CI regenerates and uploads this file \
+         as the stream-bench artifact on every run)\",\n  \
+         \"updates_per_window\": {UPDATES},\n  \"records\": [\n",
     );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
@@ -153,29 +167,34 @@ fn main() {
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    let gate = records.last().expect("no records");
+    let status = match &skipped {
+        Some(reason) => format!("\"status\": \"skipped\", \"reason\": \"{reason}\""),
+        None => format!(
+            "\"status\": \"{}\", \"speedup\": {:.3}",
+            if gate.speedup() >= GATE { "passed" } else { "failed" },
+            gate.speedup()
+        ),
+    };
+    json.push_str(&format!(
+        "  ],\n  \"gates\": {{{status}, \"nt\": {}, \"k\": 1, \"threshold\": {GATE:.1}}}\n}}\n",
+        gate.nt
+    ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     std::fs::write(path, json).expect("write BENCH_stream.json");
     println!("\nwrote {path}");
 
-    let gate = records.last().expect("no records");
-    if enforce_gate {
-        assert!(
-            gate.speedup() >= 3.0,
-            "streaming gate: amortized k=1 update must be >=3x cheaper than a full refit \
-             at nt = {}, got {:.1}x",
-            gate.nt,
-            gate.speedup()
-        );
-        println!(
-            "gate: streaming {:.1}x >= 3x at nt = {} — ok",
-            gate.speedup(),
-            gate.nt
-        );
-    } else {
-        println!(
-            "gate: skipped (cores = {cores}, DALIA_BENCH_NO_ASSERT = {})",
-            std::env::var_os("DALIA_BENCH_NO_ASSERT").is_some()
-        );
+    match skipped {
+        Some(reason) => println!("gate: skipped ({reason})"),
+        None => {
+            assert!(
+                gate.speedup() >= GATE,
+                "streaming gate: amortized k=1 update must be >={GATE}x cheaper than a full \
+                 refit at nt = {}, got {:.1}x",
+                gate.nt,
+                gate.speedup()
+            );
+            println!("gate: streaming {:.1}x >= {GATE}x at nt = {} — OK", gate.speedup(), gate.nt);
+        }
     }
 }

@@ -274,8 +274,8 @@ impl Prediction {
 
 /// Predict the latent response surface at `targets` given the latent
 /// marginals, with the diagonal variance approximation (see
-/// [`Prediction::sd`]). For exact predictive variances through the frozen
-/// conditional factor, use
+/// [`Prediction::sd`]). For exact predictive variances from the kept
+/// selected inverse, use
 /// [`PosteriorSnapshot::predict_exact`](crate::snapshot::PosteriorSnapshot::predict_exact).
 pub fn predict(
     model: &CoregionalModel,

@@ -120,9 +120,11 @@ impl PhaseTimers {
 /// The trait is `Send + Sync`: the mutable entry points (`factorize`,
 /// `solve_mean`, `selected_inverse`) serialize through `&mut`, and a
 /// solver can move to, or be read from, any thread. Concurrent serving does
-/// not solve against the solver itself: it takes an owned copy of the factor
-/// ([`snapshot_factor`](Self::snapshot_factor)) and solves against that
-/// ([`SnapshotFactor::solve_many`](crate::snapshot::SnapshotFactor::solve_many)).
+/// not touch the solver itself: a snapshot keeps the selected inverse
+/// ([`selected_inverse`](Self::selected_inverse)), from which the BTA
+/// backends answer exact variances, and an owned copy of the factor
+/// ([`snapshot_factor`](Self::snapshot_factor)), which serves only posterior
+/// draws, `logdet_qc` and the sparse baseline's exact-variance solves.
 pub trait LatentSolver: Send + Sync {
     /// Short backend name for reports and diagnostics.
     fn backend_name(&self) -> &'static str;

@@ -2,7 +2,7 @@
 //!
 //! The serving layer of DALIA-RS: an [`InlaService`] front-end that answers
 //! predictive queries from many concurrent clients against one immutable
-//! [`PosteriorSnapshot`], each request running as one task on `dalia-pool`.
+//! [`PosteriorSnapshot`], each request running on its caller's thread.
 //!
 //! ## Why a snapshot
 //!
@@ -11,9 +11,11 @@
 //! traffic. The snapshot freezes the fitted artifacts — the Cholesky factor
 //! of `Q_c(θ*)`, conditional mean, selected-inverse marginals, the
 //! hyperparameter posterior — behind `&self` methods, so one snapshot answers
-//! any number of threads. The service validates and plans each request on
-//! its caller's thread, then runs it as a single `install` task on the pool
-//! and returns the answer to that caller with its queue and solve times.
+//! any number of threads. The service validates, plans and answers each
+//! request on its caller's thread, with no queue and no thread hand-off, and
+//! returns the answer with its solve time. A request is microseconds of
+//! serial arithmetic on the kept selected inverse; only a large draw forks,
+//! and its wide `gemm` splits onto the global pool from any thread.
 //!
 //! ## Determinism contract
 //!
@@ -54,7 +56,7 @@
 //!     )
 //!     .unwrap();
 //! assert!(served.value.sd[0] > 0.0);
-//! assert!(served.timing.queue_seconds >= 0.0 && served.timing.solve_seconds >= 0.0);
+//! assert!(served.timing.solve_seconds >= 0.0);
 //! assert_eq!(service.stats().requests, 1);
 //! ```
 
@@ -64,7 +66,6 @@ use dalia_core::snapshot::{PosteriorSnapshot, VarianceMode};
 use dalia_core::{CoreError, Prediction};
 use dalia_la::Matrix;
 use dalia_model::PredictionTarget;
-use dalia_pool::ThreadPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -102,21 +103,25 @@ impl From<CoreError> for ServeError {
     }
 }
 
-/// Configuration of an [`InlaService`].
+/// Configuration of an [`InlaService`]. Requests run on their caller's
+/// thread, so there is nothing to configure today.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeConfig {
-    /// Worker threads of the service's own execution pool; `0` (the
-    /// default) shares the process-global `dalia-pool` instead of owning one.
+    // Ignored. Kept only because `perfbench/` sets it; goes with the next
+    // benchmark change.
+    #[doc(hidden)]
     pub workers: usize,
 }
 
 /// Per-request phase timings, reported with every response.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeTiming {
-    /// Seconds from the call until the request's task started on a worker.
+    // Always 0.0: a request never waits for another thread.
+    // Kept only because `perfbench/` reads it; goes with the next benchmark change.
+    #[doc(hidden)]
     pub queue_seconds: f64,
-    /// Seconds executing this request's own task (design application,
-    /// triangular solves, sampling).
+    /// Seconds computing this request's answer (design application,
+    /// quadratic forms against the kept selected inverse, sampling).
     pub solve_seconds: f64,
 }
 
@@ -132,12 +137,12 @@ pub struct Served<T> {
 /// Running counters of a service (see [`InlaService::stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Total requests that passed validation and ran on the pool.
+    /// Total requests that passed validation and ran.
     pub requests: u64,
 }
 
 impl ServiceStats {
-    // Requests per pool task, always 1.0 once a request has run (0.0 before).
+    // Requests per run, always 1.0 once a request has run (0.0 before).
     // Kept only because `perfbench/` calls it; goes with the next benchmark change.
     #[doc(hidden)]
     pub fn mean_batch(&self) -> f64 {
@@ -149,21 +154,6 @@ impl ServiceStats {
     }
 }
 
-/// Which pool executes requests.
-enum PoolHandle {
-    Owned(ThreadPool),
-    Global,
-}
-
-impl PoolHandle {
-    fn get(&self) -> &ThreadPool {
-        match self {
-            PoolHandle::Owned(p) => p,
-            PoolHandle::Global => dalia_pool::global(),
-        }
-    }
-}
-
 /// A concurrent front-end over one frozen [`PosteriorSnapshot`].
 ///
 /// All methods take `&self`; share the service by reference (or `Arc`) across
@@ -171,30 +161,22 @@ impl PoolHandle {
 /// execution model and determinism contract.
 pub struct InlaService {
     snapshot: PosteriorSnapshot,
-    config: ServeConfig,
-    pool: PoolHandle,
     requests: AtomicU64,
 }
 
 impl InlaService {
-    /// Wrap `snapshot` in a service with the given configuration. No
-    /// configuration is rejected today; the `Result` leaves room for checks
-    /// without breaking callers.
-    pub fn new(snapshot: PosteriorSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
-        let pool = if config.workers == 0 {
-            PoolHandle::Global
-        } else {
-            PoolHandle::Owned(ThreadPool::new(config.workers))
-        };
-        Ok(Self { snapshot, config, pool, requests: AtomicU64::new(0) })
+    /// Wrap `snapshot` in a service. No configuration is rejected today; the
+    /// `Result` leaves room for checks without breaking callers.
+    pub fn new(snapshot: PosteriorSnapshot, _config: ServeConfig) -> Result<Self, ServeError> {
+        Ok(Self { snapshot, requests: AtomicU64::new(0) })
     }
 
     /// Swap the frozen snapshot for `next`, returning the previous one — the
     /// serving side of a streaming window: the owner advances a
     /// [`StreamingWindow`](dalia_core::StreamingWindow), freezes it with its
     /// cheap re-snapshot path, and swaps it in here without tearing down the
-    /// service or its pool. Requires `&mut self` (i.e. a quiescent service);
-    /// under an `Arc`-shared service, swap at the `Arc` level instead.
+    /// service. Requires `&mut self` (i.e. a quiescent service); under an
+    /// `Arc`-shared service, swap at the `Arc` level instead.
     pub fn swap_snapshot(&mut self, next: PosteriorSnapshot) -> PosteriorSnapshot {
         std::mem::replace(&mut self.snapshot, next)
     }
@@ -202,11 +184,6 @@ impl InlaService {
     /// The frozen snapshot the service answers from.
     pub fn snapshot(&self) -> &PosteriorSnapshot {
         &self.snapshot
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Unwrap the service, recovering the snapshot.
@@ -219,11 +196,10 @@ impl InlaService {
         ServiceStats { requests: self.requests.load(Ordering::Relaxed) }
     }
 
-    /// Predict at `targets` in the requested [`VarianceMode`]. Target
-    /// validation and the mesh walk happen on the calling thread; the whole
-    /// target set is then answered by one design application (plus, for
-    /// [`VarianceMode::Exact`], one quadratic form per target against the
-    /// kept selected inverse) on the pool.
+    /// Predict at `targets` in the requested [`VarianceMode`]: target
+    /// validation and the mesh walk, then one design application for the
+    /// whole target set (plus, for [`VarianceMode::Exact`], one quadratic
+    /// form per target against the kept selected inverse).
     pub fn predict(
         &self,
         targets: &[PredictionTarget],
@@ -264,21 +240,15 @@ impl InlaService {
         Ok(self.run(|s| s.sample(n, seed)))
     }
 
-    /// Run `f` over the snapshot as one pool task and time it. A panic in
-    /// `f` unwinds into this caller only.
-    fn run<T: Send>(&self, f: impl FnOnce(&PosteriorSnapshot) -> T + Send) -> Served<T> {
+    /// Run `f` over the snapshot on the calling thread and time it. A panic
+    /// in `f` unwinds into this caller only.
+    fn run<T>(&self, f: impl FnOnce(&PosteriorSnapshot) -> T) -> Served<T> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let snapshot = &self.snapshot;
-        let submitted = Instant::now();
-        self.pool.get().install(move || {
-            let started = Instant::now();
-            let value = f(snapshot);
-            let timing = ServeTiming {
-                queue_seconds: started.duration_since(submitted).as_secs_f64(),
-                solve_seconds: started.elapsed().as_secs_f64(),
-            };
-            Served { value, timing }
-        })
+        let started = Instant::now();
+        let value = f(&self.snapshot);
+        let timing =
+            ServeTiming { queue_seconds: 0.0, solve_seconds: started.elapsed().as_secs_f64() };
+        Served { value, timing }
     }
 }
 
@@ -350,7 +320,7 @@ mod tests {
             let direct = svc.snapshot().predict_planned(&plan, mode);
             assert_eq!(served.value.mean, direct.mean, "{mode:?}");
             assert_eq!(served.value.sd, direct.sd, "{mode:?}");
-            assert!(served.timing.queue_seconds >= 0.0);
+            assert_eq!(served.timing.queue_seconds, 0.0);
             assert!(served.timing.solve_seconds >= 0.0);
         }
         let stats = svc.stats();
@@ -392,7 +362,7 @@ mod tests {
             svc.latent_marginals(&[0, dim]),
             Err(ServeError::IndexOutOfRange { index, .. }) if index == dim
         ));
-        // Rejected requests never reached the pool.
+        // Rejected requests never ran.
         assert_eq!(svc.stats().requests, 0);
         assert_eq!(svc.stats().mean_batch(), 0.0);
     }
@@ -427,8 +397,8 @@ mod tests {
         let plan = svc.snapshot().plan(&targets).unwrap();
         let direct = bits(&svc.snapshot().predict_planned(&plan, VarianceMode::Exact));
 
-        // The failing request starts first and holds its worker until the
-        // concurrent client's answer is back, so both are on the pool at once.
+        // The failing request starts first and keeps running until the
+        // concurrent client's answer is back, so both run at once.
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let (svc_ref, targets_ref) = (&svc, &targets);
@@ -453,17 +423,28 @@ mod tests {
         assert!(failed.is_err(), "the panic must reach its own caller");
         assert!(
             overlapped.load(Ordering::Relaxed),
-            "the concurrent request must run while the failing one holds its worker"
+            "the concurrent request must finish while the failing one is still running"
         );
         let concurrent = concurrent.expect("the concurrent client must not see the panic");
         assert_eq!(bits(&concurrent), direct);
 
-        // Both workers are still serving.
+        // The service still serves.
         for _ in 0..4 {
             let after = svc.predict(&targets, VarianceMode::Exact).unwrap();
             assert_eq!(bits(&after.value), direct);
         }
         assert_eq!(svc.stats().requests, 6);
+    }
+
+    #[test]
+    fn requests_run_on_their_callers_thread() {
+        let (model, theta0) = toy_model();
+        let caller = std::thread::current().id();
+        for config in [ServeConfig::default(), ServeConfig { workers: 2 }] {
+            let svc = service_for(&model, &theta0, config);
+            let ran_on = svc.run(|_| std::thread::current().id());
+            assert_eq!(ran_on.value, caller, "{config:?}");
+        }
     }
 
     #[test]

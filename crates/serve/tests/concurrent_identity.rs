@@ -3,8 +3,8 @@
 //!
 //! Twelve client threads hammer one `InlaService` with a mixed workload
 //! (diagonal predictions, exact-variance predictions, latent-marginal
-//! lookups, seeded posterior draws), so requests interleave on the pool in
-//! nondeterministic orders. Every response must match, bit for bit, (a) a
+//! lookups, seeded posterior draws), each request running on its own
+//! client's thread, so requests interleave in nondeterministic orders. Every response must match, bit for bit, (a) a
 //! direct call on the underlying snapshot and (b) the same service queried
 //! one request at a time — the determinism contract of `dalia-serve`.
 
@@ -134,7 +134,7 @@ fn concurrent_batched_serving_is_bitwise_identical_to_sequential() {
         }
     }
 
-    // Reference 2: a service on the global pool, queried sequentially.
+    // Reference 2: a service queried sequentially.
     let sequential =
         InlaService::new(result.clone().into_snapshot(&session).unwrap(), ServeConfig::default())
             .unwrap();
@@ -149,10 +149,10 @@ fn concurrent_batched_serving_is_bitwise_identical_to_sequential() {
         }
     }
 
-    // System under test: a 4-worker service hammered by 12 threads at once,
-    // so requests of every kind interleave on the pool in arbitrary orders.
+    // System under test: one service hammered by 12 threads at once, so
+    // requests of every kind interleave in arbitrary orders.
     let service =
-        InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig { workers: 4 })
+        InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig::default())
             .unwrap();
     let results: Vec<Vec<RoundResult>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -172,50 +172,6 @@ fn concurrent_batched_serving_is_bitwise_identical_to_sequential() {
                 *got,
                 reference[client * ROUNDS + round],
                 "concurrent service diverged for client {client} round {round}"
-            );
-        }
-    }
-    assert_eq!(service.stats().requests as usize, CLIENTS * ROUNDS * 4);
-}
-
-#[test]
-fn zero_window_under_many_concurrent_clients_is_bitwise_identical() {
-    // Every request runs at once as its own task, with no admission window:
-    // 12 concurrent clients on the shared global pool race constantly for
-    // its workers. The determinism contract must hold there too, against a
-    // sequentially queried service on a pool of its own.
-    let (model, theta0) = toy_model();
-    let (session, result) = fit(&model, &theta0);
-
-    let snapshot = session.snapshot(&result).unwrap();
-    let sequential = InlaService::new(snapshot, ServeConfig { workers: 2 }).unwrap();
-    let mut reference = Vec::with_capacity(CLIENTS * ROUNDS);
-    for client in 0..CLIENTS {
-        for round in 0..ROUNDS {
-            reference.push(run_round(&sequential, client, round));
-        }
-    }
-
-    let service =
-        InlaService::new(result.into_snapshot(&session).unwrap(), ServeConfig::default()).unwrap();
-    let results: Vec<Vec<RoundResult>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                let service = &service;
-                s.spawn(move || {
-                    (0..ROUNDS).map(|round| run_round(service, client, round)).collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    for (client, rounds) in results.iter().enumerate() {
-        for (round, got) in rounds.iter().enumerate() {
-            assert_eq!(
-                *got,
-                reference[client * ROUNDS + round],
-                "concurrent global-pool service diverged for client {client} round {round}"
             );
         }
     }

@@ -40,12 +40,12 @@ fn main() {
     );
 
     // --- Stand the serving front-end up on top of it -----------------------
-    // Requests run on the process-global pool (`workers: 0`, the default).
+    // Every request runs on the thread of the client that calls it.
     let service = InlaService::new(snapshot, ServeConfig::default()).expect("serve config");
 
     // Eight "dashboard" clients concurrently downscale one pollutant each at
-    // staggered days, look marginals up and pull posterior draws. Each
-    // request runs as its own pool task and returns to the client that sent it.
+    // staggered days, look marginals up and pull posterior draws, each on
+    // its own thread.
     let fine = observation_grid(&domain, 16, 8);
     let t0 = Instant::now();
     std::thread::scope(|s| {
@@ -74,8 +74,7 @@ fn main() {
                 println!(
                     "client {client}: pollutant {pollutant} day {day}: mean level {avg:+.2}, \
                      first cell 95% CI [{lo:+.2}, {hi:+.2}] \
-                     (queued {:.0} µs, solved {:.0} µs)",
-                    served.timing.queue_seconds * 1e6,
+                     (solved in {:.0} µs)",
                     served.timing.solve_seconds * 1e6
                 );
 

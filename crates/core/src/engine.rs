@@ -240,7 +240,10 @@ impl InlaSession {
     /// advances the fitted temporal window slice-by-slice
     /// ([`append_slices`](StreamingWindow::append_slices) /
     /// [`retire_slices`](StreamingWindow::retire_slices)) with incremental
-    /// trailing-block refactorization instead of full refits.
+    /// trailing-block refactorization instead of full refits. Updates only
+    /// rebuild the window's model; the factorization and re-pin they owe run
+    /// once, at the next [`snapshot`](StreamingWindow::snapshot), and their
+    /// factorization errors surface there.
     ///
     /// The window owns a dedicated solver (built fresh from the session's
     /// backend, leaving the session pool untouched) pinned at the result's
@@ -258,17 +261,18 @@ impl InlaSession {
         }
         let mut solver = self.settings.backend.build(&self.model);
         solver.factorize_conditional(&result.hyper_mode)?;
-        let mut window = StreamingWindow {
+        let pinned = Pinned::new(solver.as_mut(), &self.model, &result.hyper_mode);
+        Ok(StreamingWindow {
             model: self.model.clone(),
             hyper_mode: result.hyper_mode.clone(),
             hyper: result.hyper.clone(),
-            solver,
-            sigma: SelectedInverse::Diagonal(Vec::new()),
-            latent: result.latent.clone(),
-            fixed_effects: result.fixed_effects.clone(),
-        };
-        window.repin()?;
-        Ok(window)
+            backend_name: solver.backend_name(),
+            state: Mutex::new(WindowState {
+                solver,
+                kept: self.model.dims.nt,
+                pinned: Some(pinned),
+            }),
+        })
     }
 
     /// Phase timings accumulated over every evaluation since the session was
@@ -388,28 +392,75 @@ impl InlaEngine {
 /// The window owns a dedicated [`LatentSolver`] pinned at the hyperparameter
 /// mode of the originating fit. [`append_slices`](Self::append_slices) grows
 /// the temporal window by `k` new time slices (with their observations) and
-/// [`retire_slices`](Self::retire_slices) drops the `k` oldest; both advance
-/// the conditional BTA factor through the incremental streaming kernels
-/// (`pobtaf_extend` / `pobtaf_retire`) instead of
-/// refitting, then re-pin the latent mean, marginal standard deviations and
-/// fixed-effect summaries on the new window. The hyperparameter posterior
-/// stays pinned at the original fit — streaming updates the latent field
-/// conditional on θ̂, which is the serving-time trade-off: re-estimate θ with
-/// a full refit when the window has drifted far enough.
+/// [`retire_slices`](Self::retire_slices) drops the `k` oldest. Both rebuild
+/// the window's model at once, so [`model`](Self::model) and
+/// [`nt`](Self::nt) always describe the current window, but defer the solver
+/// work to the next [`snapshot`](Self::snapshot). That snapshot advances the
+/// conditional BTA factor once through the incremental streaming kernels
+/// (`pobtaf_extend` when only slices were appended since the last snapshot,
+/// `pobtaf_retire` once the head moved) instead of refitting, then re-pins
+/// the latent mean, selected inverse, marginal standard deviations and
+/// fixed-effect summaries on the new window. A slide (append then retire)
+/// therefore costs one assembly, one factorization and one selected
+/// inversion, and its outputs are bitwise those of running every update
+/// eagerly. Factorization errors of the deferred work surface at the
+/// snapshot. The hyperparameter posterior stays pinned at the original fit —
+/// streaming updates the latent field conditional on θ̂, which is the
+/// serving-time trade-off: re-estimate θ with a full refit when the window
+/// has drifted far enough.
 ///
 /// [`snapshot`](Self::snapshot) freezes the current window into a fresh
 /// [`PosteriorSnapshot`] without a refit, so a serving layer can follow the
-/// advancing window by swapping snapshots. The window keeps the selected
-/// inverse of its last re-pin, and every snapshot it produces shares it.
+/// advancing window by swapping snapshots. Snapshots taken with no update in
+/// between share one selected inverse; an update drops the window's hold on
+/// it. `snapshot` takes `&self`: the solver and the pinned outputs sit behind
+/// one lock, so the window is `Send + Sync`.
 pub struct StreamingWindow {
     model: Arc<CoregionalModel>,
     hyper_mode: ModelHyper,
     hyper: HyperMarginals,
+    backend_name: &'static str,
+    state: Mutex<WindowState>,
+}
+
+/// The solver side of a [`StreamingWindow`], advanced lazily by `snapshot`.
+struct WindowState {
     solver: Box<dyn LatentSolver>,
+    /// Leading slices of the window whose factor columns are still valid:
+    /// unchanged by appends, 0 after any retire or failed advance.
+    kept: usize,
+    /// The outputs pinned on the current window; `None` while an update is
+    /// owed.
+    pinned: Option<Pinned>,
+}
+
+/// What a re-pin computes once per window and every snapshot shares.
+struct Pinned {
     sigma: SelectedInverse,
     latent: LatentMarginals,
     fixed_effects: Vec<FixedEffectSummary>,
 }
+
+impl Pinned {
+    /// Pin the latent mean, selected inverse, marginal variances and
+    /// fixed-effect summaries on `solver`'s conditional factor (Gaussian
+    /// likelihood: the conditional mode is the single linear solve
+    /// `Q_c μ = Aᵀ D y`).
+    fn new(solver: &mut dyn LatentSolver, model: &CoregionalModel, hyper: &ModelHyper) -> Self {
+        let info = model.information_vector(hyper, solver.design());
+        let mean = solver.solve_mean(&info);
+        let sigma = solver.selected_inverse();
+        let latent = LatentMarginals::from_variances(mean, &sigma.diagonal());
+        let fixed_effects = fixed_effect_summaries(model, &latent);
+        Self { sigma, latent, fixed_effects }
+    }
+}
+
+// The window crosses threads with the service that follows it.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<StreamingWindow>();
+};
 
 impl StreamingWindow {
     /// The model of the current window.
@@ -422,25 +473,9 @@ impl StreamingWindow {
         &self.hyper_mode
     }
 
-    /// Latent marginals re-pinned on the current window.
-    pub fn latent(&self) -> &LatentMarginals {
-        &self.latent
-    }
-
-    /// Fixed-effect summaries re-pinned on the current window.
-    pub fn fixed_effects(&self) -> &[FixedEffectSummary] {
-        &self.fixed_effects
-    }
-
-    /// The selected inverse of the current window, shared with every
-    /// snapshot taken since the last update.
-    pub fn selected_inverse(&self) -> &SelectedInverse {
-        &self.sigma
-    }
-
     /// The backend driving the incremental updates.
     pub fn backend_name(&self) -> &'static str {
-        self.solver.backend_name()
+        self.backend_name
     }
 
     /// Number of time slices in the current window.
@@ -449,8 +484,10 @@ impl StreamingWindow {
     }
 
     /// Append `k` new time slices carrying `new_obs` to the trailing end of
-    /// the window and advance the factorization incrementally (only the
-    /// trailing block columns are re-eliminated).
+    /// the window. The model is rebuilt now; the factorization is deferred to
+    /// the next [`snapshot`](Self::snapshot), which re-eliminates only the
+    /// trailing block columns if no retire came in between, and reports any
+    /// factorization error.
     ///
     /// Every new observation must reference one of the appended slices
     /// (`t ∈ [nt, nt+k)`); the existing observations are kept verbatim as a
@@ -478,7 +515,7 @@ impl StreamingWindow {
         let mut scales = self.model.observation_scales().to_vec();
         scales.resize(obs.len() + new_obs.len(), 1.0);
         obs.extend(new_obs);
-        let model = Arc::new(
+        self.model = Arc::new(
             CoregionalModel::new(
                 &self.model.mesh,
                 nt_new,
@@ -489,15 +526,16 @@ impl StreamingWindow {
             )?
             .with_observation_scales(scales)?,
         );
-        self.solver.extend_window(model.clone(), &self.hyper_mode)?;
-        self.model = model;
-        self.repin()
+        self.state()?.pinned = None;
+        Ok(())
     }
 
-    /// Retire the `k` oldest time slices: observations on them are dropped,
-    /// the surviving observations are re-indexed (`t -= k`), and the factor
-    /// storage is refilled in place (retiring the head invalidates every
-    /// factor column, so this is a full — but allocation-free — refactor).
+    /// Retire the `k` oldest time slices: observations on them are dropped
+    /// and the surviving observations are re-indexed (`t -= k`). The model is
+    /// rebuilt now; the refactorization is deferred to the next
+    /// [`snapshot`](Self::snapshot), which reports any factorization error.
+    /// Retiring the head invalidates every factor column, so that snapshot
+    /// refills the whole factor — in place, allocation-free.
     pub fn retire_slices(&mut self, k: usize) -> Result<(), CoreError> {
         if k == 0 {
             return Err(CoreError::InvalidWindowUpdate(
@@ -520,7 +558,7 @@ impl StreamingWindow {
                 scales.push(s);
             }
         }
-        let model = Arc::new(
+        self.model = Arc::new(
             CoregionalModel::new(
                 &self.model.mesh,
                 nt_old - k,
@@ -531,40 +569,48 @@ impl StreamingWindow {
             )?
             .with_observation_scales(scales)?,
         );
-        self.solver.retire_window(model.clone(), &self.hyper_mode)?;
-        self.model = model;
-        self.repin()
+        let state = self.state()?;
+        state.kept = 0;
+        state.pinned = None;
+        Ok(())
     }
 
     /// Freeze the current window into an immutable [`PosteriorSnapshot`]
     /// without refitting — the cheap re-snapshot path a serving layer uses to
-    /// follow the advancing window. The snapshot shares the window's selected
-    /// inverse (an `Arc` clone on the BTA backends, no block copy).
+    /// follow the advancing window. The first snapshot after an update does
+    /// the deferred work: one assembly, one factorization and one re-pin of
+    /// the current window. Its factorization errors surface here, and the
+    /// next snapshot retries with a cold factorization. Snapshots with no
+    /// update in between share the window's selected inverse (an `Arc` clone
+    /// on the BTA backends, no block copy).
     pub fn snapshot(&self) -> Result<PosteriorSnapshot, CoreError> {
-        let factor = self.solver.snapshot_factor()?;
+        let mut state = self.state.lock().map_err(|_| CoreError::WindowPoisoned)?;
+        let WindowState { solver, kept, pinned } = &mut *state;
+        let pinned = match pinned {
+            Some(pinned) => pinned,
+            None => {
+                // A failed advance leaves `kept = 0`: the retry starts cold.
+                solver.advance_window(self.model.clone(), &self.hyper_mode, std::mem::take(kept))?;
+                *kept = self.model.dims.nt;
+                pinned.insert(Pinned::new(solver.as_mut(), &self.model, &self.hyper_mode))
+            }
+        };
+        let factor = solver.snapshot_factor()?;
         Ok(PosteriorSnapshot::from_parts(
             self.model.clone(),
             self.hyper_mode.clone(),
-            self.latent.clone(),
+            pinned.latent.clone(),
             self.hyper.clone(),
-            self.fixed_effects.clone(),
+            pinned.fixed_effects.clone(),
             factor,
-            self.sigma.clone(),
-            self.solver.backend_name(),
+            pinned.sigma.clone(),
+            self.backend_name,
         ))
     }
 
-    /// Re-pin the latent mean, selected inverse, marginal variances and
-    /// fixed-effect summaries on the current window's conditional factor
-    /// (Gaussian likelihood: the conditional mode is the single linear solve
-    /// `Q_c μ = Aᵀ D y`).
-    fn repin(&mut self) -> Result<(), CoreError> {
-        let info = self.model.information_vector(&self.hyper_mode, self.solver.design());
-        let mean = self.solver.solve_mean(&info);
-        self.sigma = self.solver.selected_inverse();
-        self.latent = LatentMarginals::from_variances(mean, &self.sigma.diagonal());
-        self.fixed_effects = fixed_effect_summaries(&self.model, &self.latent);
-        Ok(())
+    /// The solver state, through `&mut self` (no locking).
+    fn state(&mut self) -> Result<&mut WindowState, CoreError> {
+        self.state.get_mut().map_err(|_| CoreError::WindowPoisoned)
     }
 }
 
@@ -766,25 +812,48 @@ mod tests {
         let mut w = s.streaming_window(&result).unwrap();
         assert_eq!(w.nt(), 3);
         // The re-pinned state at construction matches the fit itself.
-        for (a, b) in w.latent().mean.iter().zip(&result.latent.mean) {
+        for (a, b) in w.snapshot().unwrap().latent().mean.iter().zip(&result.latent.mean) {
             assert_eq!(a.to_bits(), b.to_bits(), "window construction must not move the mean");
         }
 
         w.append_slices(1, fresh_obs(3)).unwrap();
         assert_eq!(w.nt(), 4);
         assert_eq!(w.model().n_obs(), n_obs_fitted + 2);
-        assert_eq!(w.latent().mean.len(), w.model().dims.latent_dim());
-        assert!(w.latent().sd.iter().all(|s| s.is_finite() && *s >= 0.0));
+        let snap = w.snapshot().unwrap();
+        assert_eq!(snap.latent().mean.len(), w.model().dims.latent_dim());
+        assert!(snap.latent().sd.iter().all(|s| s.is_finite() && *s >= 0.0));
 
         w.retire_slices(2).unwrap();
         assert_eq!(w.nt(), 2);
         assert!(w.model().observations.iter().all(|o| o.t < 2));
-        assert_eq!(w.latent().mean.len(), w.model().dims.latent_dim());
 
         // The cheap re-snapshot path serves the advanced window.
         let snap = w.snapshot().unwrap();
         assert_eq!(snap.latent_dim(), w.model().dims.latent_dim());
+        assert_eq!(snap.latent().mean.len(), w.model().dims.latent_dim());
         assert_eq!(snap.model().dims.nt, 2);
+    }
+
+    #[test]
+    fn a_failed_window_factorization_surfaces_at_every_snapshot() {
+        let (model, theta0) = toy_model();
+        let mut settings = InlaSettings::dalia(1);
+        settings.max_iter = 2;
+        let s = session(&model, &theta0, settings);
+        let result = s.run(&theta0).unwrap();
+        let mut w = s.streaming_window(&result).unwrap();
+
+        let mut bad = fresh_obs(3);
+        bad[0].covariates[0] = f64::NAN;
+        w.append_slices(1, bad).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(w.snapshot(), Err(CoreError::Solver(_))));
+        }
+        // Further updates are still accepted, and their snapshots fail the
+        // same way while the NaN stays in the window.
+        w.retire_slices(1).unwrap();
+        assert!(matches!(w.snapshot(), Err(CoreError::Solver(_))));
+        assert_eq!(w.nt(), 3);
     }
 
     #[test]

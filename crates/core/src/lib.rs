@@ -66,6 +66,9 @@ pub enum CoreError {
     /// (wrong observation time indices, non-Gaussian likelihood, window
     /// shrunk to nothing — see [`engine::StreamingWindow`]).
     InvalidWindowUpdate(String),
+    /// A streaming window's solver state was lost to a panic inside one of
+    /// its snapshots; the window cannot advance any further.
+    WindowPoisoned,
 }
 
 impl std::fmt::Display for CoreError {
@@ -83,6 +86,9 @@ impl std::fmt::Display for CoreError {
             CoreError::InvalidSettings(reason) => write!(f, "invalid engine settings: {reason}"),
             CoreError::InvalidWindowUpdate(reason) => {
                 write!(f, "invalid streaming window update: {reason}")
+            }
+            CoreError::WindowPoisoned => {
+                write!(f, "streaming window lost its solver state to a panic in a snapshot")
             }
         }
     }

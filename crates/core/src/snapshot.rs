@@ -25,7 +25,7 @@
 //! [`InlaResult::into_snapshot`](crate::engine::InlaResult::into_snapshot)
 //! (consuming them) or
 //! [`StreamingWindow::snapshot`](crate::engine::StreamingWindow::snapshot)
-//! (sharing the window's kept `Σ`).
+//! (sharing one kept `Σ` among the snapshots of an unchanged window).
 
 use crate::posterior::{FixedEffectSummary, HyperMarginals, LatentMarginals, Prediction};
 use crate::CoreError;
@@ -116,8 +116,8 @@ impl SnapshotFactor {
 /// by [`LatentSolver::selected_inverse`](crate::solver::LatentSolver::selected_inverse).
 ///
 /// Cloning is cheap for the BTA variant (its entries sit behind an `Arc`), so
-/// a [`StreamingWindow`](crate::engine::StreamingWindow) and every snapshot it
-/// produces share one `Σ`.
+/// the snapshots a [`StreamingWindow`](crate::engine::StreamingWindow) takes
+/// with no update in between share one `Σ`.
 #[derive(Clone, Debug)]
 pub enum SelectedInverse {
     /// Every entry of the BTA selected inverse an exact predictive variance

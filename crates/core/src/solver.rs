@@ -156,43 +156,37 @@ pub trait LatentSolver: Send + Sync {
     /// neither `Q_p` nor `log |Q_p|` is touched.
     fn refactorize_conditional(&mut self, weights: &[f64]) -> Result<(), CoreError>;
 
-    /// Advance this solver to `model`, whose temporal window **grew** by
-    /// trailing time slices, re-factorizing only the affected trailing block
-    /// columns of the conditional factor where the representation permits
-    /// (the BTA backends; the sparse backend falls back to a full
-    /// refactorization with a fresh symbolic analysis).
+    /// Advance this solver to `model`, a window of the same block structure
+    /// (mesh, `nv`, `nr`) whose leading `kept` time slices carry the same
+    /// assembled blocks as the leading slices of the current factor: slices
+    /// were only appended since that factor, so its leading columns still
+    /// hold. `kept = 0` promises nothing and refactorizes the whole window.
     ///
-    /// Requirements: `model` shares the mesh and `(nv, nr)` of the current
-    /// model (same block structure), keeps the current observations as a
-    /// prefix (appended observations may only reference the new slices), and
-    /// the conditional factor must be at the initial working weights for the
-    /// **same** `hyper` — i.e. a `factorize`/`factorize_conditional` at
-    /// `hyper` precedes this call, with no intervening
-    /// [`refactorize_conditional`](Self::refactorize_conditional). Afterwards
-    /// the solver is in conditional-only state on the new window (as after
-    /// `factorize_conditional`): [`logdet_qp`](Self::logdet_qp) is
-    /// unavailable until the next full `factorize`.
+    /// The BTA backend re-eliminates only the trailing block columns
+    /// (`pobtaf_extend`) when `kept` equals the factor's number of slices and
+    /// the window grew, and otherwise refills the factor storage in place
+    /// (`pobtaf_retire`) — retiring the head invalidates every column. From a
+    /// partitioned factor, from no factor (a failed update), or into a window
+    /// larger than the factor storage it factorizes cold with `pobtaf_with`.
+    /// The sparse backend ignores `kept` and refactorizes fully with a fresh
+    /// symbolic analysis.
+    ///
+    /// Requirements: `model` keeps the observations of the kept slices, and
+    /// the conditional factor (when there is one) must be at the initial
+    /// working weights for the **same** `hyper` — no
+    /// [`refactorize_conditional`](Self::refactorize_conditional) in between.
+    /// Afterwards the solver is in conditional-only state on the new window
+    /// (as after `factorize_conditional`): [`logdet_qp`](Self::logdet_qp) is
+    /// unavailable until the next full `factorize`. On error the solver
+    /// holds no factor, and the next call factorizes cold.
     ///
     /// For the BTA backends the advanced factor is **bitwise identical** to a
     /// cold sequential factorization of the new window at any thread count.
-    fn extend_window(
+    fn advance_window(
         &mut self,
         model: Arc<CoregionalModel>,
         hyper: &ModelHyper,
-    ) -> Result<(), CoreError>;
-
-    /// Advance this solver to `model`, whose temporal window **shrank** by
-    /// retiring leading time slices (with the surviving observations
-    /// re-indexed to the new window). Retiring the head invalidates every
-    /// factor column — column 0's Schur complement cascades through the whole
-    /// elimination — so all backends refactorize fully, but the BTA backends
-    /// recycle the factor storage and warm pack lanes in place. Same
-    /// preconditions and post-state as [`extend_window`](Self::extend_window)
-    /// otherwise.
-    fn retire_window(
-        &mut self,
-        model: Arc<CoregionalModel>,
-        hyper: &ModelHyper,
+        kept: usize,
     ) -> Result<(), CoreError>;
 
     /// The joint design matrix `Λ·A` assembled by the last `factorize`.
@@ -445,8 +439,7 @@ fn factor_bta(
 /// another with `pobtaf_with` at every partition count
 /// ([`BtaWorkspace::factorize_processes`]).
 ///
-/// [`extend_window`](LatentSolver::extend_window) /
-/// [`retire_window`](LatentSolver::retire_window) advance the conditional
+/// [`advance_window`](LatentSolver::advance_window) advances the conditional
 /// factor in place through the incremental streaming kernels, which need the
 /// *monolithic* (`DistBtaCholesky::Sequential`) representation: the
 /// partitioned factor interleaves permuted interiors with a reduced system,
@@ -488,50 +481,6 @@ impl BtaSolver {
             fc: None,
             pairs,
         }
-    }
-
-    /// Shared tail of `extend_window` / `retire_window`: swap in the new
-    /// window model, rebuild the partitioning for the new `nt` (used by the
-    /// next full factorization), re-assemble, and advance the conditional
-    /// factor in the monolithic representation via `advance`.
-    fn advance_window(
-        &mut self,
-        model: Arc<CoregionalModel>,
-        hyper: &ModelHyper,
-        advance: impl FnOnce(
-            &mut BtaCholesky,
-            &BtaMatrix,
-            &mut StreamPacks,
-        ) -> Result<(), serinv::SerinvError>,
-    ) -> Result<(), CoreError> {
-        let fc =
-            self.fc.take().expect("LatentSolver: factorize must be called before a window update");
-        self.logdet_qp = None;
-        self.part = Partitioning::load_balanced(
-            model.dims.nt,
-            self.partitions.clamp(1, model.dims.nt),
-            self.load_balance,
-        );
-        self.ws.set_window_model(model);
-        self.ws.assemble(hyper);
-        let t0 = Instant::now();
-        let mono = match fc {
-            // Already monolithic (one partition, or a previous window
-            // update): advance in place.
-            DistBtaCholesky::Sequential(mut f) => {
-                advance(&mut f, &self.ws.qc, &mut self.stream).map_err(CoreError::Solver)?;
-                f
-            }
-            // Partitioned: the nested-dissection layout cannot be advanced by
-            // trailing columns — pay one cold sequential factorization of the
-            // new window (warm pack lanes, no reusable storage to recycle).
-            DistBtaCholesky::Partitioned { .. } => {
-                pobtaf_with(&self.ws.qc, None, &mut self.ws.pack).map_err(CoreError::Solver)?
-            }
-        };
-        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
-        self.fc = Some(validated(DistBtaCholesky::Sequential(mono))?);
-        Ok(())
     }
 }
 
@@ -578,28 +527,42 @@ impl LatentSolver for BtaSolver {
         Ok(())
     }
 
-    fn extend_window(
+    fn advance_window(
         &mut self,
         model: Arc<CoregionalModel>,
         hyper: &ModelHyper,
+        kept: usize,
     ) -> Result<(), CoreError> {
-        assert!(
-            model.dims.nt > self.ws.model.dims.nt,
-            "extend_window: the new window must have more time steps"
+        let fc = self.fc.take();
+        self.logdet_qp = None;
+        self.part = Partitioning::load_balanced(
+            model.dims.nt,
+            self.partitions.clamp(1, model.dims.nt),
+            self.load_balance,
         );
-        self.advance_window(model, hyper, pobtaf_extend)
-    }
-
-    fn retire_window(
-        &mut self,
-        model: Arc<CoregionalModel>,
-        hyper: &ModelHyper,
-    ) -> Result<(), CoreError> {
-        assert!(
-            model.dims.nt < self.ws.model.dims.nt,
-            "retire_window: the new window must have fewer time steps"
-        );
-        self.advance_window(model, hyper, pobtaf_retire)
+        self.ws.set_window_model(model);
+        self.ws.assemble(hyper);
+        let qc = &self.ws.qc;
+        let t0 = Instant::now();
+        let mono = match fc {
+            // Only appends since this factor: re-eliminate from its last
+            // column onward.
+            Some(DistBtaCholesky::Sequential(mut f)) if kept == f.blocks.n && qc.n > kept => {
+                pobtaf_extend(&mut f, qc, &mut self.stream).map(|()| f)
+            }
+            // The head moved: refill the whole factor in its own storage.
+            Some(DistBtaCholesky::Sequential(mut f)) if qc.n <= f.blocks.n => {
+                pobtaf_retire(&mut f, qc, &mut self.stream).map(|()| f)
+            }
+            // A partitioned factor cannot be advanced by trailing columns, a
+            // failed update left none, or the window outgrew the storage:
+            // one cold sequential factorization (warm pack lanes).
+            _ => pobtaf_with(qc, None, &mut self.ws.pack),
+        }
+        .map_err(CoreError::Solver)?;
+        self.ws.timers.factorize_seconds += t0.elapsed().as_secs_f64();
+        self.fc = Some(validated(DistBtaCholesky::Sequential(mono))?);
+        Ok(())
     }
 
     fn design(&self) -> &CsrMatrix {
@@ -776,37 +739,16 @@ impl LatentSolver for SparseCholeskySolver {
         Ok(())
     }
 
-    fn extend_window(
+    fn advance_window(
         &mut self,
         model: Arc<CoregionalModel>,
         hyper: &ModelHyper,
+        _kept: usize,
     ) -> Result<(), CoreError> {
         // The general sparse factor has no trailing-block structure to reuse —
         // fall back to a full conditional refactorization of the new window.
         // The window change alters the sparsity pattern, so the symbolic cache
         // re-analyzes automatically (PatternMismatch path).
-        assert!(
-            model.dims.nt > self.model.dims.nt,
-            "extend_window: the new window must have more time steps"
-        );
-        assert_eq!(
-            (model.dims.block_size(), model.dims.arrow_size()),
-            (self.model.dims.block_size(), self.model.dims.arrow_size()),
-            "window update must preserve the block structure (mesh, nv, nr)"
-        );
-        self.model = model;
-        self.factorize_conditional(hyper)
-    }
-
-    fn retire_window(
-        &mut self,
-        model: Arc<CoregionalModel>,
-        hyper: &ModelHyper,
-    ) -> Result<(), CoreError> {
-        assert!(
-            model.dims.nt < self.model.dims.nt,
-            "retire_window: the new window must have fewer time steps"
-        );
         assert_eq!(
             (model.dims.block_size(), model.dims.arrow_size()),
             (self.model.dims.block_size(), self.model.dims.arrow_size()),
@@ -1090,7 +1032,7 @@ mod tests {
     ) -> (f64, Vec<f64>, Vec<f64>) {
         let mut solver = backend.build(old);
         solver.factorize(hyper).unwrap();
-        solver.extend_window(new.clone(), hyper).unwrap();
+        solver.advance_window(new.clone(), hyper, old.dims.nt).unwrap();
         conditional_results(&mut solver, new, hyper)
     }
 
@@ -1138,10 +1080,34 @@ mod tests {
         for backend in [seq, SolverBackend::Bta { partitions: 3, load_balance: 1.3 }] {
             let mut solver = backend.build(&full);
             solver.factorize(&hyper).unwrap();
-            solver.retire_window(retired.clone(), &hyper).unwrap();
+            solver.advance_window(retired.clone(), &hyper, 0).unwrap();
             let got = conditional_results(&mut solver, &retired, &hyper);
             assert_bitwise_eq(&got, &reference, "retire");
         }
+    }
+
+    #[test]
+    fn advance_window_recovers_from_a_failed_update() {
+        let hyper = ModelHyper::default_for(1, 0.7, 2.0);
+        let (old, new) = stream_models(1, 4, 6);
+        let mut cold = SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&new);
+        cold.factorize_conditional(&hyper).unwrap();
+        let reference = conditional_results(&mut cold, &new, &hyper);
+
+        // A NaN covariate fails the update and leaves no factor; the next
+        // update factorizes cold instead of panicking.
+        let mut bad_obs = new.observations.clone();
+        bad_obs.last_mut().unwrap().covariates[0] = f64::NAN;
+        let bad = Arc::new(CoregionalModel::new(&new.mesh, 6, 1.0, 1, 1, bad_obs).unwrap());
+        let mut solver = BtaSolver::new(old.clone(), 1, 1.0);
+        solver.factorize(&hyper).unwrap();
+        let err = solver.advance_window(bad.clone(), &hyper, 4);
+        assert!(matches!(err, Err(CoreError::Solver(_))), "{err:?}");
+        assert!(solver.fc.is_none());
+        assert!(matches!(solver.advance_window(bad, &hyper, 4), Err(CoreError::Solver(_))));
+        solver.advance_window(new.clone(), &hyper, 4).unwrap();
+        let mut solver: Box<dyn LatentSolver> = Box::new(solver);
+        assert_bitwise_eq(&conditional_results(&mut solver, &new, &hyper), &reference, "recovered");
     }
 
     #[test]
@@ -1153,7 +1119,7 @@ mod tests {
         let mut streamed = backend.build(&old);
         streamed.factorize(&hyper).unwrap();
         assert_eq!(streamed.backend_name(), "bta-distributed");
-        streamed.extend_window(new.clone(), &hyper).unwrap();
+        streamed.advance_window(new.clone(), &hyper, old.dims.nt).unwrap();
         // The window factor is monolithic now; the label follows the
         // configured partition count, not the factor representation.
         assert_eq!(streamed.backend_name(), "bta-distributed");
@@ -1173,9 +1139,9 @@ mod tests {
         let mut solver = SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&old);
         solver.factorize(&hyper).unwrap();
         assert_eq!(solver.backend_name(), "bta-sequential");
-        solver.extend_window(new.clone(), &hyper).unwrap();
+        solver.advance_window(new.clone(), &hyper, old.dims.nt).unwrap();
         assert_eq!(solver.backend_name(), "bta-sequential");
-        solver.retire_window(old.clone(), &hyper).unwrap();
+        solver.advance_window(old.clone(), &hyper, 0).unwrap();
         assert_eq!(solver.backend_name(), "bta-sequential");
     }
 
@@ -1190,7 +1156,7 @@ mod tests {
         let mut solver = BtaSolver::new(old, 3, 1.3);
         solver.factorize(&hyper).unwrap();
         assert!(solver.logdet_qp.is_some() && is_partitioned(&solver.fc));
-        solver.extend_window(new, &hyper).unwrap();
+        solver.advance_window(new, &hyper, 4).unwrap();
         assert!(solver.logdet_qp.is_none());
         assert!(matches!(solver.fc, Some(DistBtaCholesky::Sequential(_))));
         assert_eq!(solver.part.num_blocks(), 6, "partitioning follows the new window");
@@ -1326,7 +1292,7 @@ mod tests {
         let (old, new) = stream_models(1, 3, 4);
         let mut solver = SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&old);
         solver.factorize(&hyper).unwrap();
-        solver.extend_window(new.clone(), &hyper).unwrap();
+        solver.advance_window(new.clone(), &hyper, old.dims.nt).unwrap();
         assert_eq!(solver.model().dims.nt, 4);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solver.logdet_qp()));
         assert!(err.is_err(), "logdet_qp must be unavailable after a window update");

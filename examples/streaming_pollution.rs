@@ -54,10 +54,10 @@ fn main() {
     .expect("serve config");
 
     // --- Follow the feed: slide the window one day at a time ----------------
-    // The streaming window is pinned at the fitted hyperparameter mode θ̂;
-    // each update re-eliminates only the trailing block columns of the BTA
-    // factor (append) or refills the factor allocation-free (retire), then
-    // re-pins the latent mean and marginals on the new window.
+    // The streaming window is pinned at the fitted hyperparameter mode θ̂.
+    // Retire and append only rebuild the window's model; the snapshot then
+    // refills the BTA factor of the slid window once, allocation-free, and
+    // re-pins the latent mean and marginals on it.
     let mut window = session.streaming_window(&result).expect("streaming window");
     let target = PredictionTarget {
         var: 0, // PM2.5

@@ -223,14 +223,13 @@ fn latent_sd_keeps_its_bits_from_fit_snapshot_and_window() {
         let snap = w.snapshot().unwrap();
         let (vars, sd) = sd_from_pobtasi(&snap);
         let tag = format!("append P={partitions}");
-        assert_bits_eq(&w.latent().sd, &sd, &tag);
-        assert_bits_eq(&w.selected_inverse().diagonal(), &vars, &tag);
+        assert_bits_eq(&snap.latent().sd, &sd, &tag);
+        assert_bits_eq(&snap.selected_inverse().diagonal(), &vars, &tag);
 
         w.retire_slices(1).unwrap();
         let snap = w.snapshot().unwrap();
         let (vars, sd) = sd_from_pobtasi(&snap);
         let tag = format!("retire P={partitions}");
-        assert_bits_eq(&w.latent().sd, &sd, &tag);
         assert_bits_eq(&snap.latent().sd, &sd, &tag);
         assert_bits_eq(&snap.selected_inverse().diagonal(), &vars, &tag);
     }
@@ -252,10 +251,17 @@ fn window_and_its_snapshots_share_one_sigma() {
     w.append_slices(1, obs_at(2, NT)).unwrap();
     let a = w.snapshot().unwrap();
     let b = w.snapshot().unwrap();
-    assert!(Arc::ptr_eq(kept(w.selected_inverse()), kept(a.selected_inverse())));
-    assert!(Arc::ptr_eq(kept(a.selected_inverse()), kept(b.selected_inverse())));
-    // An update re-pins a new Σ; the old snapshots keep theirs.
+    let old = kept(a.selected_inverse());
+    assert!(Arc::ptr_eq(old, kept(b.selected_inverse())));
+    // The window holds Σ beside its two snapshots until the next update.
+    assert_eq!(Arc::strong_count(old), 3);
+    // An update drops the window's hold; the old snapshots keep theirs.
     w.retire_slices(1).unwrap();
-    assert!(!Arc::ptr_eq(kept(w.selected_inverse()), kept(a.selected_inverse())));
-    assert_eq!(Arc::strong_count(kept(a.selected_inverse())), 2);
+    assert_eq!(Arc::strong_count(old), 2);
+    let c = w.snapshot().unwrap();
+    assert!(!Arc::ptr_eq(kept(c.selected_inverse()), old));
+    drop(b);
+    assert_eq!(Arc::strong_count(old), 1);
+    let d = w.snapshot().unwrap();
+    assert!(Arc::ptr_eq(kept(c.selected_inverse()), kept(d.selected_inverse())));
 }

@@ -184,24 +184,39 @@ proptest! {
     }
 }
 
-/// Streaming level: `append_slices` on a fitted window equals a cold full
-/// factorization of the extended window at the same pinned θ̂, bit for bit —
-/// mean, marginal sds and conditional log-determinant — at 1 and at 4
-/// threads. This extends the stateful-reuse contract above to the streaming
-/// kernels: the incremental trailing-column elimination must replay exactly
-/// the cold kernel sequence, regardless of how the pool schedules it.
+/// One step of a streaming update program.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Append(usize),
+    Retire(usize),
+    Snapshot,
+}
+
+/// Streaming level: a fitted window advanced by any program of appends,
+/// retires and snapshots serves, at its next snapshot, exactly what a cold
+/// conditional factorization of the final window gives at the same pinned θ,
+/// bit for bit — mean, marginal sds, the kept `Σ` diagonal and the
+/// conditional log-determinant — at P = 1 and 3 and at 1 and 4 threads. The
+/// window defers its updates to the next snapshot, which advances the factor
+/// incrementally (`pobtaf_extend` after appends only, a full in-place
+/// refactor once the head moved); both must replay exactly the cold kernel
+/// sequence, regardless of how the pool schedules it.
 #[test]
-fn streaming_append_is_bitwise_identical_to_full_refit() {
+fn streaming_updates_are_bitwise_identical_to_a_cold_window() {
     let mesh = TriangleMesh::structured(Domain::unit_square(), 3, 3);
-    let window_obs = |range: std::ops::Range<usize>| -> Vec<Observation> {
+    // Observations of absolute slices `range`, indexed relative to `start`.
+    // Locations and covariates move with the slice, so every slice assembles
+    // its own blocks and a factor column reused from the wrong slice shows.
+    let window_obs = |range: std::ops::Range<usize>, start: usize| -> Vec<Observation> {
         let mut obs = Vec::new();
         for t in range {
+            let shift = 0.04 * (t % 5) as f64;
             for &(x, y) in &[(0.25, 0.3), (0.7, 0.55), (0.45, 0.85)] {
                 obs.push(Observation {
                     var: 0,
-                    t,
-                    loc: Point::new(x, y),
-                    covariates: vec![1.0],
+                    t: t - start,
+                    loc: Point::new(x + shift, y - shift),
+                    covariates: vec![1.0 + shift],
                     value: 0.15 * (t as f64) + 0.1 * x - 0.05 * y,
                 });
             }
@@ -209,22 +224,25 @@ fn streaming_append_is_bitwise_identical_to_full_refit() {
         obs
     };
     let nt_old = 4;
-    let k = 2;
     let old = Arc::new(
-        CoregionalModel::new(&mesh, nt_old, 1.0, 1, 1, window_obs(0..nt_old)).unwrap(),
-    );
-    let mut full_obs = window_obs(0..nt_old);
-    full_obs.extend(window_obs(nt_old..nt_old + k));
-    let full = Arc::new(
-        CoregionalModel::new(&mesh, nt_old + k, 1.0, 1, 1, full_obs).unwrap(),
+        CoregionalModel::new(&mesh, nt_old, 1.0, 1, 1, window_obs(0..nt_old, 0)).unwrap(),
     );
     let theta0 = ModelHyper::default_for(1, 0.6, 2.0).to_theta();
+    let programs: [&[Step]; 5] = [
+        &[Step::Append(2)],
+        &[Step::Append(1), Step::Retire(1)],
+        &[Step::Retire(1), Step::Append(2)],
+        &[Step::Append(1), Step::Append(2)],
+        &[Step::Append(1), Step::Snapshot, Step::Append(1), Step::Snapshot, Step::Retire(2)],
+    ];
 
     for backend in [
         SolverBackend::Bta { partitions: 1, load_balance: 1.0 },
         SolverBackend::Bta { partitions: 3, load_balance: 1.3 },
     ] {
-        // Fit the old window once; its θ̂ pins everything downstream.
+        // Fit the old window once, then pin the window at θ₀: two BFGS
+        // steps on this smooth data collapse σ, and a prior precision that
+        // large would drown the observations each slice contributes.
         let mut settings = InlaSettings::dalia(1);
         settings.backend = backend;
         settings.max_iter = 2;
@@ -233,36 +251,63 @@ fn streaming_append_is_bitwise_identical_to_full_refit() {
             .settings(settings)
             .build()
             .unwrap();
-        let result = session.run(&theta0).unwrap();
-        let hyper_mode = ModelHyper::from_theta(1, &result.hyper.mode);
+        let mut result = session.run(&theta0).unwrap();
+        let hyper_mode = ModelHyper::from_theta(1, &theta0);
+        result.hyper_mode = hyper_mode.clone();
 
-        // Full-refit reference: a cold conditional factorization of the
-        // extended window at the pinned θ̂ (sequential BTA — the streaming
-        // window's factor is monolithic on every BTA backend).
-        let mut cold =
-            SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&full);
-        cold.factorize_conditional(&hyper_mode).unwrap();
-        let info = full.information_vector(&hyper_mode, cold.design());
-        let ref_mean = cold.solve_mean(&info);
-        let ref_sd: Vec<f64> =
-            cold.selected_inverse().diagonal().iter().map(|v| v.max(0.0).sqrt()).collect();
-        let ref_logdet = cold.logdet_qc();
-
-        for threads in [1usize, 4] {
-            let window = dalia::pool::ThreadPool::new(threads).install(|| {
-                let mut w = session.streaming_window(&result).unwrap();
-                w.append_slices(k, window_obs(nt_old..nt_old + k)).unwrap();
-                w
-            });
-            let tag = format!("streaming append [{backend:?}, {threads} threads]");
-            assert_bits_eq(&window.latent().mean, &ref_mean, &tag);
-            assert_bits_eq(&window.latent().sd, &ref_sd, &tag);
-            let snap = window.snapshot().unwrap();
-            assert_eq!(
-                snap.logdet_qc().to_bits(),
-                ref_logdet.to_bits(),
-                "{tag}: logdet_qc"
+        for program in programs {
+            // The final window covers absolute slices start..end.
+            let (mut start, mut end) = (0, nt_old);
+            for step in program {
+                match *step {
+                    Step::Append(k) => end += k,
+                    Step::Retire(k) => start += k,
+                    Step::Snapshot => {}
+                }
+            }
+            // Cold reference: a conditional factorization of the final
+            // window at the pinned θ (sequential BTA — the streaming
+            // window's factor is monolithic on every BTA backend).
+            let last = Arc::new(
+                CoregionalModel::new(&mesh, end - start, 1.0, 1, 1, window_obs(start..end, start))
+                    .unwrap(),
             );
+            let mut cold = SolverBackend::Bta { partitions: 1, load_balance: 1.0 }.build(&last);
+            cold.factorize_conditional(&hyper_mode).unwrap();
+            let info = last.information_vector(&hyper_mode, cold.design());
+            let ref_mean = cold.solve_mean(&info);
+            let ref_vars = cold.selected_inverse().diagonal();
+            let ref_sd: Vec<f64> = ref_vars.iter().map(|v| v.max(0.0).sqrt()).collect();
+            let ref_logdet = cold.logdet_qc();
+
+            for threads in [1usize, 4] {
+                let snap = dalia::pool::ThreadPool::new(threads).install(|| {
+                    let mut w = session.streaming_window(&result).unwrap();
+                    let (mut start, mut end) = (0, nt_old);
+                    for step in program {
+                        match *step {
+                            Step::Append(k) => {
+                                w.append_slices(k, window_obs(end..end + k, start)).unwrap();
+                                end += k;
+                            }
+                            Step::Retire(k) => {
+                                w.retire_slices(k).unwrap();
+                                start += k;
+                            }
+                            Step::Snapshot => {
+                                w.snapshot().unwrap();
+                            }
+                        }
+                    }
+                    assert_eq!(w.nt(), end - start);
+                    w.snapshot().unwrap()
+                });
+                let tag = format!("{program:?} [{backend:?}, {threads} threads]");
+                assert_bits_eq(&snap.latent().mean, &ref_mean, &tag);
+                assert_bits_eq(&snap.latent().sd, &ref_sd, &tag);
+                assert_bits_eq(&snap.selected_inverse().diagonal(), &ref_vars, &tag);
+                assert_eq!(snap.logdet_qc().to_bits(), ref_logdet.to_bits(), "{tag}: logdet_qc");
+            }
         }
     }
 }

@@ -9,7 +9,9 @@
 //! library loads at startup; CI uploads it as an artifact). The gemm table
 //! then reports 256³/512³ per tier so the dispatch ladder is visible in the
 //! snapshot, and a warm-session `pobtaf` benchmark pins the end-to-end win of
-//! the tuned tier + blocking over the previous defaults.
+//! the tuned tier + blocking over the previous defaults. A warm `pobtasi`
+//! record at each benchmark workload's shape gives the selected inversion's
+//! time and its ratio to the warm `pobtaf` of the same matrix.
 //!
 //! Running this bench (`cargo bench -p dalia-bench --bench kernel_bench`)
 //! prints a table and rewrites `BENCH_kernels.json` at the repository root so
@@ -21,7 +23,7 @@ use dalia_la::blas::{self, reference, PackBuffer, Side, Trans, Triangle};
 use dalia_la::tune::{self, BlockConfig};
 use dalia_la::{chol, KernelTier, Matrix};
 use serinv::testing::test_matrix;
-use serinv::pobtaf_with;
+use serinv::{pobtaf_with, pobtasi_with};
 use std::time::Instant;
 
 /// Deterministic dense test matrix with entries in [-1, 1].
@@ -245,6 +247,30 @@ fn bench_pobtaf_warm(
     });
 }
 
+/// Warm selected inversion beside the warm factorization of the same matrix,
+/// as a streaming re-pin runs them: `pobtasi_with` against `pobtaf_with` on
+/// one reused pack. The ratio is the one ROADMAP item 8(b) gates at ≤ 2.
+struct SelinvRecord {
+    shape: (usize, usize, usize),
+    pobtaf_secs: f64,
+    pobtasi_secs: f64,
+}
+
+fn bench_pobtasi_warm(records: &mut Vec<SelinvRecord>, nt: usize, b: usize, a: usize) {
+    let m = test_matrix(nt, b, a, 11);
+    let mut pack = PackBuffer::new();
+    let mut store = None;
+    let pobtaf_secs = time_secs(|| {
+        let f = pobtaf_with(&m, store.take(), &mut pack).expect("SPD bench matrix");
+        store = Some(f.blocks);
+    });
+    let factor = pobtaf_with(&m, store, &mut pack).expect("SPD bench matrix");
+    let pobtasi_secs = time_secs(|| {
+        pobtasi_with(&factor, &mut pack);
+    });
+    records.push(SelinvRecord { shape: (nt, b, a), pobtaf_secs, pobtasi_secs });
+}
+
 fn main() {
     // Sweep the blocking grid for every supported tier and persist the
     // winners; the library picks the cache up on the next cold start.
@@ -299,6 +325,13 @@ fn main() {
     bench_potrf(&mut records, 256);
     bench_potrf(&mut records, 512);
 
+    // Warm selected inversion against warm factorization at the benchmark
+    // workloads' shapes: fit-pollution (b = 210) and fit-long-window (b = 48).
+    let mut selinv = Vec::new();
+    for (nt, b, a) in [(6, 210, 6), (48, 48, 6)] {
+        bench_pobtasi_warm(&mut selinv, nt, b, a);
+    }
+
     // End-to-end warm factorization (mutates tier/blocking; keep it last).
     bench_pobtaf_warm(&mut records, &tuned);
 
@@ -318,8 +351,24 @@ fn main() {
         );
     }
 
+    println!("\n{:<16} {:>12} {:>12} {:>7}", "pobtasi_warm", "pobtaf ms", "pobtasi ms", "ratio");
+    for r in &selinv {
+        let (nt, b, a) = r.shape;
+        println!(
+            "{:<16} {:>12.3} {:>12.3} {:>7.2}",
+            format!("n={nt} b={b} a={a}"),
+            r.pobtaf_secs * 1e3,
+            r.pobtasi_secs * 1e3,
+            r.pobtasi_secs / r.pobtaf_secs
+        );
+    }
+
     // JSON snapshot at the repository root.
-    let mut json = String::from("{\n  \"generated_by\": \"cargo bench -p dalia-bench --bench kernel_bench\",\n  \"records\": [\n");
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut json = format!(
+        "{{\n  \"generated_by\": \"cargo bench -p dalia-bench --bench kernel_bench\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{}\",\n  \"records\": [\n",
+        entry_tier.name()
+    );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"tier\": \"{}\", \"shape\": \"{}\", \"flops\": {}, \"reference_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup\": {:.3}}}{}\n",
@@ -331,6 +380,17 @@ fn main() {
             r.blk_gflops(),
             r.speedup(),
             if i + 1 < records.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"selected_inversion\": [\n");
+    for (i, r) in selinv.iter().enumerate() {
+        let (nt, b, a) = r.shape;
+        json.push_str(&format!(
+            "    {{\"kernel\": \"pobtasi_warm\", \"shape\": \"n={nt} b={b} a={a}\", \"pobtaf_ms\": {:.3}, \"pobtasi_ms\": {:.3}, \"pobtasi_over_pobtaf\": {:.3}}}{}\n",
+            r.pobtaf_secs * 1e3,
+            r.pobtasi_secs * 1e3,
+            r.pobtasi_secs / r.pobtaf_secs,
+            if i + 1 < selinv.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

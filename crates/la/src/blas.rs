@@ -1081,7 +1081,7 @@ pub fn trsm_with(pack: &mut PackBuffer, side: Side, uplo: Triangle, trans: Trans
         Side::Right => b.nrows(),
     };
     if uplo == Triangle::Upper || n * n * nrhs < NAIVE_MAX_FLOPS {
-        reference::trsm(side, uplo, trans, a, b);
+        reference::trsm_staged(side, uplo, trans, a, b, &mut pack.scratch);
         return;
     }
     match (side, trans) {
@@ -1519,6 +1519,12 @@ pub mod reference {
     /// Reference triangular solve: per-column (`Side::Left`) or per-row
     /// (`Side::Right`) substitution via [`trsv_in_place`].
     pub fn trsm(side: Side, uplo: Triangle, trans: Trans, a: &Matrix, b: &mut Matrix) {
+        trsm_staged(side, uplo, trans, a, b, &mut Vec::new());
+    }
+
+    /// [`trsm`] with the row that a right-side solve substitutes staged in
+    /// `row`, so a warm caller's buffer spares the allocation.
+    pub(crate) fn trsm_staged(side: Side, uplo: Triangle, trans: Trans, a: &Matrix, b: &mut Matrix, row: &mut Vec<f64>) {
         assert!(a.is_square(), "trsm: A must be square");
         let n = a.nrows();
         match side {
@@ -1536,12 +1542,13 @@ pub mod reference {
                     Trans::Yes => Trans::No,
                 };
                 let m = b.nrows();
-                let mut row = vec![0.0; n];
+                row.clear();
+                row.resize(n, 0.0);
                 for i in 0..m {
                     for (j, r) in row.iter_mut().enumerate() {
                         *r = b[(i, j)];
                     }
-                    trsv_in_place(uplo, flipped, a, &mut row);
+                    trsv_in_place(uplo, flipped, a, row);
                     for (j, r) in row.iter().enumerate() {
                         b[(i, j)] = *r;
                     }
@@ -1959,6 +1966,30 @@ mod tests {
         let mut b = matmul(&x_true, &l.transpose());
         trsm(Side::Right, Triangle::Lower, Trans::Yes, &l, &mut b);
         assert!(approx_eq(&b, &x_true, 1e-12));
+    }
+
+    #[test]
+    fn small_right_trsm_with_stages_rows_in_the_pack_bitwise() {
+        // Below the blocked threshold `trsm_with` substitutes each row in the
+        // pack's scratch; whatever the scratch held, the bits are the
+        // reference kernel's.
+        let mut l = test_mat(9, 9, 3);
+        for j in 0..9 {
+            for i in 0..j {
+                l[(i, j)] = 0.0;
+            }
+            l[(j, j)] = 2.0 + l[(j, j)].abs();
+        }
+        let b0 = test_mat(5, 9, 4);
+        let mut pack = PackBuffer::new();
+        pack.scratch = vec![7.0; 3];
+        for trans in [Trans::No, Trans::Yes] {
+            let mut want = b0.clone();
+            reference::trsm(Side::Right, Triangle::Lower, trans, &l, &mut want);
+            let mut got = b0.clone();
+            trsm_with(&mut pack, Side::Right, Triangle::Lower, trans, &l, &mut got);
+            assert_eq!(got.as_slice(), want.as_slice(), "trans {trans:?}");
+        }
     }
 
     #[test]

@@ -57,7 +57,9 @@
 //! right-hand-side accumulations per column, and the selected inversion forks
 //! the three independent selected-inverse columns (`Σ_{ls,j}`,
 //! `Σ_{j+1,j}`/`Σ_{rs,j}`, `Σ_{T,j}`) between the `L_jj⁻¹` solve and the
-//! diagonal recovery. Each subtask owns a dedicated [`PackBuffer`] lane so
+//! diagonal recovery, both on the critical path: `L_jj⁻¹` is a right-side
+//! solve `X L_jj = I`, and the diagonal block a gemm with `L_jj⁻ᵀ`.
+//! Each subtask owns a dedicated [`PackBuffer`] lane so
 //! the packed micro-kernels never contend for workspace. An idle worker can
 //! therefore steal *inside* a single huge partition — the skewed
 //! 1-big/N-tiny layout scales instead of serializing the whole S3 fan-out
@@ -614,16 +616,29 @@ fn accumulate<'a>(
 
 /// One selected-inverse block of a column: `−(Σ_k op(S_k) L_k) L_jj⁻¹` over
 /// the terms whose blocks exist, accumulated in the given order.
-fn sigma_block(pk: &mut PackBuffer, rows: usize, terms: &[(Trans, Option<&Matrix>, Option<&Matrix>)], l_inv: &Matrix) -> Matrix {
-    let mut acc = Matrix::zeros(rows, l_inv.ncols());
+///
+/// `spare` is the caller's block of the output's shape, kept for the whole
+/// call: the sum accumulates in a new block, the product lands in `spare`,
+/// and the two swap. The block returned is the spare's storage and the sum's
+/// becomes the next column's spare, so the block the call frees at its end
+/// is the last one it allocated. Under glibc's allocator that faults fewer
+/// pages back in per call than keeping one spare does (see "Selected
+/// inversion" in `docs/performance.md`).
+fn sigma_block(
+    pk: &mut PackBuffer,
+    spare: &mut Matrix,
+    terms: &[(Trans, Option<&Matrix>, Option<&Matrix>)],
+    l_inv: &Matrix,
+) -> Matrix {
+    let mut sum = Matrix::zeros(spare.nrows(), l_inv.ncols());
     for &(t, s, l) in terms {
         if let (Some(s), Some(l)) = (s, l) {
-            blas::gemm_with(pk, t, Trans::No, -1.0, s, l, 1.0, &mut acc);
+            blas::gemm_with(pk, t, Trans::No, -1.0, s, l, 1.0, &mut sum);
         }
     }
-    let mut out = Matrix::zeros(rows, l_inv.ncols());
-    blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &acc, l_inv, 0.0, &mut out);
-    out
+    blas::gemm_with(pk, Trans::No, Trans::No, 1.0, &sum, l_inv, 0.0, spare);
+    std::mem::swap(spare, &mut sum);
+    sum
 }
 
 impl<'a> Span<'a> {
@@ -720,6 +735,16 @@ impl<'a> Span<'a> {
     /// `Σ_{ls,j}`, `Σ_{j+1,j}` (or `Σ_{rs,j}`) and `Σ_{T,j}` — write disjoint
     /// outputs and form one join group between the `L_jj⁻¹` solve and the
     /// diagonal block.
+    ///
+    /// A column makes one triangular solve, on the critical path before the
+    /// join group: `L_jj⁻¹` as the right-side solve `X L_jj = I`, whose
+    /// blocked kernel runs its diagonal blocks as contiguous column `axpy`s
+    /// over all rows (a left-side solve substitutes one right-hand side at a
+    /// time, at a fraction of the rate). The diagonal block
+    /// `Σ_jj = L_jj⁻ᵀ (L_jj⁻¹ − Σ_k L_{k,j}ᵀ Σ_{k,j})` is then a gemm with the
+    /// explicit `L_jj⁻ᵀ`, symmetrized. `L_jj⁻¹` and the inner sum are scratch
+    /// of the call, and each of the three Σ products keeps one spare block of
+    /// its shape (see `sigma_block`).
     pub(crate) fn selected_inverse(&self, sig: &Boundary, lanes: &mut Lanes) -> SpanInverse {
         let m = self.blocks;
         let (len, b, a) = (m.n, m.b, m.a);
@@ -732,11 +757,19 @@ impl<'a> Span<'a> {
             left: vec![empty; if has_left { len } else { 0 }],
             right: None,
         };
+        let spare = |rows: usize| Matrix::zeros(if len > 0 { rows } else { 0 }, b);
+        let mut spare_left = spare(if has_left { b } else { 0 });
+        let mut spare_below = spare(b);
+        let mut spare_tip = spare(a);
+        let (mut l_inv, mut inner) = (spare(b), spare(b));
         for j in (0..len).rev() {
             let last = j + 1 == len;
             let l_jj = &m.diag[j];
-            let mut l_inv = Matrix::identity(b);
-            blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::No, l_jj, &mut l_inv);
+            l_inv.fill_zero();
+            for i in 0..b {
+                l_inv[(i, i)] = 1.0;
+            }
+            blas::trsm_with(lanes.main(), Side::Right, Triangle::Lower, Trans::No, l_jj, &mut l_inv);
 
             let (w, c) = (self.left.get(j), Some(&m.arrow[j]));
             let b_j = if last { None } else { Some(&m.sub[j]) };
@@ -749,6 +782,7 @@ impl<'a> Span<'a> {
             };
             let (mut s_left, mut s_below, mut s_tip) = (None, None, None);
             let (sl, sb, st, li) = (&mut s_left, &mut s_below, &mut s_tip, &l_inv);
+            let (pl, pb, pt) = (&mut spare_left, &mut spare_below, &mut spare_tip);
             lanes.fork(
                 move |pk| {
                     if has_left {
@@ -758,7 +792,7 @@ impl<'a> Span<'a> {
                             (Trans::Yes, sig.rs_ls, r),
                             (Trans::Yes, sig.t_ls, c),
                         ];
-                        *sl = Some(sigma_block(pk, b, &terms, li));
+                        *sl = Some(sigma_block(pk, pl, &terms, li));
                     }
                 },
                 move |pk| {
@@ -768,7 +802,7 @@ impl<'a> Span<'a> {
                         [(Trans::No, sig.rs_rs, r), (Trans::No, sig.rs_ls, w), (Trans::Yes, sig.t_rs, c)]
                     };
                     if b_j.or(r).is_some() {
-                        *sb = Some(sigma_block(pk, b, &terms, li));
+                        *sb = Some(sigma_block(pk, pb, &terms, li));
                     }
                 },
                 Some(move |pk: &mut PackBuffer| {
@@ -779,21 +813,23 @@ impl<'a> Span<'a> {
                             (Trans::No, sig.t_rs, r),
                             (Trans::No, Some(sig.tt), c),
                         ];
-                        *st = Some(sigma_block(pk, a, &terms, li));
+                        *st = Some(sigma_block(pk, pt, &terms, li));
                     }
                 }),
             );
 
-            // Σ_jj = L_jj⁻ᵀ (L_jj⁻¹ − Σ_k L_{k,j}ᵀ Σ_{k,j}).
-            let mut inner = l_inv;
+            // Σ_jj = L_jj⁻ᵀ (L_jj⁻¹ − Σ_k L_{k,j}ᵀ Σ_{k,j}), a product with
+            // the explicit L_jj⁻ᵀ rather than a second triangular solve.
+            inner.as_mut_slice().copy_from_slice(l_inv.as_slice());
             for (l, s) in [(b_j.or(r), &s_below), (w, &s_left), (c, &s_tip)] {
                 if let (Some(l), Some(s)) = (l, s) {
                     blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, -1.0, l, s, 1.0, &mut inner);
                 }
             }
-            blas::trsm_with(lanes.main(), Side::Left, Triangle::Lower, Trans::Yes, l_jj, &mut inner);
-            inner.symmetrize();
-            out.diag[j] = inner;
+            let mut diag = Matrix::zeros(b, b);
+            blas::gemm_with(lanes.main(), Trans::Yes, Trans::No, 1.0, &l_inv, &inner, 0.0, &mut diag);
+            diag.symmetrize();
+            out.diag[j] = diag;
             match s_below {
                 Some(s) if last => out.right = Some(s),
                 Some(s) => out.sub[j] = s,
@@ -902,7 +938,10 @@ pub fn d_pobtas(factor: &DistBtaCholesky, rhs: &mut Matrix, pack: &mut PackBuffe
 /// three independent Σ products — `Σ_{ls,j}` (left separator column),
 /// `Σ_{j+1,j}` / `Σ_{rs,j}` (below-diagonal), and `Σ_{T,j}` (arrow row) — as
 /// one pool join group with per-lane `PackBuffer`s; `L_jj⁻¹` and the
-/// diagonal update stay on the critical path. Inline and forked lanes
+/// diagonal update stay on the critical path, before and after the group:
+/// `L_jj⁻¹` is the right-side triangular solve `X L_jj = I`, and
+/// `Σ_jj = L_jj⁻ᵀ (L_jj⁻¹ − Σ_k L_{k,j}ᵀ Σ_{k,j})` a gemm with the explicit
+/// `L_jj⁻ᵀ`, then symmetrized. Inline and forked lanes
 /// execute the same kernel calls on the same operands, so the selected
 /// inverse is **bitwise identical** at any worker count.
 ///
